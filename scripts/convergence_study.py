@@ -37,7 +37,7 @@ class StudyConfig:
 
 def lattice_routes(rule: str, n: int):
     """(closed value, brute kwargs) for one rule's raw lattice sum."""
-    opposite = Parity.EVEN if n % 2 else Parity.ODD
+    opposite = series.opposite_parity(n)
     if rule == "closure":
         return series.weighted_k2_sum(4, n), dict(
             p=4, z=float(n), parity=opposite, weight_k2=True)

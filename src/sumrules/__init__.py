@@ -15,14 +15,10 @@ from .core import (
     InconsistencyError,
     InvalidSpecError,
     ModelKind,
-    ModelSpec,
     PoleError,
-    ReducedModel,
     SumRuleError,
     TruncationTrace,
-    UnitScales,
     VerificationReport,
-    to_reduced,
 )
 from .engine import (
     BetheComponents,
@@ -30,13 +26,11 @@ from .engine import (
     OscillatorStrengthTable,
     RulePaths,
     RuleVerification,
-    StarkVerification,
     SumRuleSpec,
     analytic_rhs,
     bethe_components,
     lhs_delta,
     lhs_isw,
-    oscillator_strength_integral,
     oscillator_strengths,
     stark_verify,
     verify,
@@ -54,29 +48,23 @@ __all__ = [
     "InconsistencyError",
     "InvalidSpecError",
     "ModelKind",
-    "ModelSpec",
     "Operator",
     "OscillatorStrengthTable",
     "Parity",
     "PoleError",
     "QuadratureResult",
-    "ReducedModel",
     "RulePaths",
     "RuleVerification",
-    "StarkVerification",
     "SumRuleError",
     "SumRuleSpec",
     "TruncationTrace",
-    "UnitScales",
     "VerificationReport",
     "analytic_rhs",
     "bethe_components",
     "lhs_delta",
     "lhs_isw",
-    "oscillator_strength_integral",
     "oscillator_strengths",
     "stark_verify",
-    "to_reduced",
     "verify",
     "__version__",
 ]

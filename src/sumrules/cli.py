@@ -30,6 +30,7 @@ from .core import (
     ModelKind,
     SumRuleError,
     TruncationTrace,
+    make_report,
 )
 from .engine import Operator, SumRuleSpec
 from .quadrature import QuadratureResult
@@ -173,19 +174,27 @@ def _trace_dict(trace) -> dict:
     return {}
 
 
-def _report_row(rule: str, verification) -> dict:
+def _report_row(rule: str, model: str | None, params: dict, analytic: float,
+                closed, brute) -> dict:
     return {
         "rule": rule,
-        "model": verification.model.value,
-        "params": dict(verification.params),
-        "analytic": verification.analytic,
-        "numeric_closed": verification.closed.numeric,
-        "numeric_brute": verification.brute.numeric,
-        "rel_err_closed": verification.closed.rel_err,
-        "rel_err_brute": verification.brute.rel_err,
-        "passed": verification.passed,
-        "trace": _trace_dict(verification.brute.trace),
+        "model": model,
+        "params": params,
+        "analytic": analytic,
+        "numeric_closed": closed.numeric,
+        "numeric_brute": brute.numeric,
+        "rel_err_closed": closed.rel_err,
+        "rel_err_brute": brute.rel_err,
+        "passed": closed.passed and brute.passed,
+        "trace": _trace_dict(brute.trace),
     }
+
+
+def _verification_row(rule: str, verification) -> dict:
+    return _report_row(
+        rule, verification.model.value, dict(verification.params),
+        verification.analytic, verification.closed, verification.brute,
+    )
 
 
 def _execute_verify(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
@@ -200,16 +209,15 @@ def _execute_verify(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
         if cfg.model is ModelKind.ISW:
             for n in cfg.n_values:
                 spec = SumRuleSpec(operator, power, n=n)
-                rows.append(_report_row(
+                rows.append(_verification_row(
                     rule, engine.verify(spec, cfg.model, cfg.tol, cfg.kmax)
                 ))
         elif rule == "bethe":
             for q in cfg.q_values:
                 spec = SumRuleSpec(operator, power, q=q)
-                rows.append(_report_row(
-                    rule, engine.verify(spec, cfg.model, cfg.tol, cfg.kmax)
-                ))
-                parts = engine.bethe_components(q, tol=cfg.tol)
+                verification = engine.verify(spec, cfg.model, cfg.tol, cfg.kmax)
+                rows.append(_verification_row(rule, verification))
+                parts = verification.components
                 bethe_detail.append({
                     "q": q,
                     "B_odd": parts.odd_residue,
@@ -219,7 +227,7 @@ def _execute_verify(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
                 })
         else:
             spec = SumRuleSpec(operator, power)
-            rows.append(_report_row(
+            rows.append(_verification_row(
                 rule, engine.verify(spec, cfg.model, cfg.tol, cfg.kmax)
             ))
     return rows, bethe_detail
@@ -229,13 +237,13 @@ def _execute_stark(cfg: RunConfig) -> list[dict]:
     rows = []
     if cfg.model is ModelKind.ISW:
         for n in cfg.n_values:
-            rows.append(_report_row(
+            rows.append(_verification_row(
                 "stark",
                 engine.stark_verify(cfg.model, n, cfg.F, tol=cfg.tol,
                                     max_terms=cfg.kmax),
             ))
     else:
-        rows.append(_report_row(
+        rows.append(_verification_row(
             "stark", engine.stark_verify(cfg.model, F=cfg.F, tol=cfg.tol)
         ))
     return rows
@@ -243,21 +251,11 @@ def _execute_stark(cfg: RunConfig) -> list[dict]:
 
 def _series_row(rule: str, params: dict, analytic: float, closed: float,
                 brute: float, trace, tol: float) -> dict:
-    floor = 1e-300
-    rel_closed = abs(analytic - closed) / max(abs(analytic), floor)
-    rel_brute = abs(analytic - brute) / max(abs(analytic), floor)
-    return {
-        "rule": rule,
-        "model": None,
-        "params": params,
-        "analytic": analytic,
-        "numeric_closed": closed,
-        "numeric_brute": brute,
-        "rel_err_closed": rel_closed,
-        "rel_err_brute": rel_brute,
-        "passed": rel_closed <= tol and rel_brute <= tol,
-        "trace": _trace_dict(trace),
-    }
+    return _report_row(
+        rule, None, params, analytic,
+        make_report(rule + ".closed", analytic, closed, None, tol),
+        make_report(rule + ".brute", analytic, brute, trace, tol),
+    )
 
 
 def _execute_series(cfg: RunConfig) -> list[dict]:
@@ -283,9 +281,8 @@ def _execute_series(cfg: RunConfig) -> list[dict]:
         rows = []
         for n in cfg.n_values:
             closed = series.weighted_k2_sum(cfg.p, n)
-            opposite = Parity.EVEN if n % 2 else Parity.ODD
-            trace = series.brute_sum(cfg.p, float(n), opposite, weight_k2=True,
-                                     tol=cfg.tol, max_terms=cfg.kmax)
+            trace = series.brute_sum(cfg.p, float(n), series.opposite_parity(n),
+                                     weight_k2=True, tol=cfg.tol, max_terms=cfg.kmax)
             rows.append(_series_row(
                 "series.weighted_k2", {"p": cfg.p, "n": n},
                 closed, closed, trace.value, trace, cfg.tol,
@@ -309,7 +306,7 @@ def _execute_sweep(cfg: RunConfig) -> list[dict]:
     rows = []
     for n in cfg.n_values:
         spec = SumRuleSpec(operator, power, n=n)
-        trace = engine.isw_brute_trace(spec, cfg.tol, cfg.kmax)
+        trace = engine.lhs_isw(spec, tol=cfg.tol, max_terms=cfg.kmax).trace
         # everything here is in raw lattice-sum units, before the rule's
         # matrix-element prefactor
         rows.append({
@@ -324,8 +321,7 @@ def _execute_sweep(cfg: RunConfig) -> list[dict]:
                 "converged": trace.converged,
                 "checkpoints": [
                     {"terms": t, "partial_sum": s}
-                    for t, s in zip(series.checkpoint_terms(trace),
-                                    trace.partial_sums)
+                    for t, s in zip(trace.checkpoint_terms, trace.partial_sums)
                 ],
             },
         })
@@ -586,8 +582,3 @@ def main(argv=None) -> int:
             print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
             return 2
     return 0 if all(row["passed"] for row in rows) else 1
-
-
-def run(argv=None) -> int:
-    """Alias for main: parse argv, execute, return the exit code."""
-    return main(argv)

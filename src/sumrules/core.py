@@ -1,19 +1,19 @@
-"""Shared model descriptions, reduced units, and verification records.
+"""Shared error types, input checks and verification records.
 
 Everything numerical in this package runs in reduced units (hbar = m = 1,
 and well width a = 1 for the box model or kappa0 = 1 for the delta model).
-The types here carry the scale factors needed to move results back to
-dimensional form, plus the bookkeeping records produced by the brute-force
-and quadrature routes.
+This module holds what every other module shares: the error hierarchy,
+the checks on state indices and on positive wavenumbers, the brute-force
+truncation record and the report arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+
+import numpy as np
 
 DEFAULT_TOL = 1e-9
 REL_ERR_FLOOR = 1e-300
@@ -64,102 +64,24 @@ def default_max_terms() -> int:
     return value
 
 
+def check_state_index(n, name: str = "n") -> int:
+    """n as an int; InvalidSpecError unless it is an integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+        raise InvalidSpecError(f"{name} must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
+def check_finite_positive(value, name: str):
+    """value unchanged; InvalidSpecError unless it (every entry of an
+    array) is finite and > 0."""
+    if not np.all(np.isfinite(value) & (value > 0.0)):
+        raise InvalidSpecError(f"{name} must be finite and > 0, got {value}")
+    return value
+
+
 class ModelKind(Enum):
     ISW = "isw"
     DELTA = "delta"
-
-
-@dataclass(frozen=True)
-class UnitScales:
-    """Dimensional constants fixed at the API boundary."""
-
-    hbar: float = 1.0
-    mass: float = 1.0
-
-    def __post_init__(self) -> None:
-        for name in ("hbar", "mass"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InvalidSpecError(f"{name} must be finite and positive, got {value}")
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """One of the two solvable models plus its dimensional inputs.
-
-    ISW uses `isw_width` (the well sits on [0, a]); DELTA uses `kappa0`,
-    the inverse decay length of the single bound state.  The delta
-    coupling g follows from kappa0 = m g / hbar^2.
-    """
-
-    kind: ModelKind
-    isw_width: float | None = None
-    kappa0: float | None = None
-    scales: UnitScales = field(default_factory=UnitScales)
-
-    def __post_init__(self) -> None:
-        if self.kind is ModelKind.ISW:
-            if self.kappa0 is not None:
-                raise InvalidSpecError("kappa0 is meaningless for the ISW model")
-            if self.isw_width is None or not (math.isfinite(self.isw_width) and self.isw_width > 0):
-                raise InvalidSpecError(f"ISW requires a finite positive width, got {self.isw_width}")
-        elif self.kind is ModelKind.DELTA:
-            if self.isw_width is not None:
-                raise InvalidSpecError("isw_width is meaningless for the DELTA model")
-            if self.kappa0 is None or not (math.isfinite(self.kappa0) and self.kappa0 > 0):
-                raise InvalidSpecError(f"DELTA requires finite positive kappa0, got {self.kappa0}")
-        else:
-            raise InvalidSpecError(f"unknown model kind {self.kind!r}")
-
-    @property
-    def coupling(self) -> float:
-        """Delta-potential strength g = hbar^2 kappa0 / m."""
-        if self.kind is not ModelKind.DELTA:
-            raise InvalidSpecError("coupling is defined only for the DELTA model")
-        return self.scales.hbar**2 * self.kappa0 / self.scales.mass
-
-    @property
-    def bound_length(self) -> float:
-        """Natural length 1/kappa0 of the delta bound state."""
-        if self.kind is not ModelKind.DELTA:
-            raise InvalidSpecError("bound_length is defined only for the DELTA model")
-        return 1.0 / self.kappa0
-
-
-@dataclass(frozen=True)
-class ReducedModel:
-    """Scale pair mapping reduced results back to dimensional ones.
-
-    energies: E_dim = E_reduced * energy_unit
-    lengths:  x_dim = x_reduced * length_unit
-    """
-
-    kind: ModelKind
-    energy_unit: float
-    length_unit: float
-
-    def to_dimensional_energy(self, e_reduced: float) -> float:
-        return e_reduced * self.energy_unit
-
-    def to_dimensional_length(self, x_reduced: float) -> float:
-        return x_reduced * self.length_unit
-
-
-def to_reduced(spec: ModelSpec) -> ReducedModel:
-    """Strip a ModelSpec down to reduced units plus its scale pair.
-
-    ISW: length unit a, energy unit hbar^2/(m a^2), so reduced
-    E_n = (n pi)^2 / 2.  DELTA: length unit 1/kappa0, energy unit
-    hbar^2 kappa0^2 / m, so the reduced bound energy is -1/2.
-    """
-    hbar, mass = spec.scales.hbar, spec.scales.mass
-    if spec.kind is ModelKind.ISW:
-        length_unit = spec.isw_width
-        energy_unit = hbar**2 / (mass * spec.isw_width**2)
-    else:
-        length_unit = 1.0 / spec.kappa0
-        energy_unit = hbar**2 * spec.kappa0**2 / mass
-    return ReducedModel(kind=spec.kind, energy_unit=energy_unit, length_unit=length_unit)
 
 
 @dataclass(frozen=True)
@@ -168,7 +90,8 @@ class TruncationTrace:
 
     `value` is the returned estimate: the raw partial sum plus an
     integral tail correction.  `partial_sums` holds raw partial sums at
-    geometrically spaced checkpoints (always ending with the final one).
+    geometrically spaced checkpoints (always ending with the final one),
+    and `checkpoint_terms` the number of terms summed at each of them.
     `tail_estimate` bounds the residual error left after the correction,
     so `converged` means both the last term and the tail estimate fell
     below the requested tolerance.
@@ -176,6 +99,7 @@ class TruncationTrace:
 
     value: float
     partial_sums: tuple[float, ...]
+    checkpoint_terms: tuple[int, ...]
     terms_used: int
     last_term: float
     tail_estimate: float
@@ -184,6 +108,8 @@ class TruncationTrace:
     def __post_init__(self) -> None:
         if not self.partial_sums:
             raise InvalidSpecError("partial_sums must be nonempty")
+        if len(self.checkpoint_terms) != len(self.partial_sums):
+            raise InvalidSpecError("checkpoint_terms must match partial_sums")
         if self.terms_used < 0:
             raise InvalidSpecError("terms_used must be nonnegative")
         if self.tail_estimate < 0:
@@ -227,14 +153,3 @@ def make_report(
         trace=trace,
         passed=rel_err <= tol,
     )
-
-
-def checkpoint_indices(n: int) -> Sequence[int]:
-    """1-based geometric checkpoint schedule 1, 2, 4, ... capped at n."""
-    out = []
-    i = 1
-    while i < n:
-        out.append(i)
-        i *= 2
-    out.append(n)
-    return out

@@ -13,47 +13,13 @@ so the sum rules turn into half-line integrals of rational functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidSpecError
+from .core import InvalidSpecError, check_finite_positive
 from .series import Parity
 
 _PI = math.pi
-
-
-def _check_k(k: float) -> float:
-    k = float(k)
-    if not math.isfinite(k) or k <= 0.0:
-        raise InvalidSpecError(f"continuum wavenumber must be > 0, got {k!r}")
-    return k
-
-
-def _check_q(q: float) -> float:
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise InvalidSpecError(f"momentum transfer must be > 0, got {q!r}")
-    return q
-
-
-@dataclass(frozen=True)
-class DeltaContinuumState:
-    """One scattering state, labelled by wavenumber and parity."""
-
-    k: float
-    parity: Parity
-
-    def __post_init__(self) -> None:
-        _check_k(self.k)
-        if self.parity is Parity.ALL:
-            raise InvalidSpecError("continuum states are even or odd")
-
-    def energy(self) -> float:
-        return energy_continuum(self.k)
-
-    def psi(self, x):
-        return psi_continuum(self.parity, self.k, x)
 
 
 def bound_energy() -> float:
@@ -68,18 +34,14 @@ def psi_bound(x):
 
 
 def energy_continuum(k):
-    k = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-        raise InvalidSpecError("continuum wavenumber must be > 0")
+    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
     value = 0.5 * k * k
     return float(value) if value.ndim == 0 else value
 
 
 def energy_gap(k):
     """E_k - E_0 = (k^2 + 1)/2, the weight in every energy-weighted rule."""
-    k = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-        raise InvalidSpecError("continuum wavenumber must be > 0")
+    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
     value = 0.5 * (k * k + 1.0)
     return float(value) if value.ndim == 0 else value
 
@@ -90,7 +52,7 @@ def psi_continuum(parity: Parity, k: float, x):
     Odd: sin(kx)/sqrt(pi).  Even: (sin(k|x|) - k cos(kx)) / sqrt(pi (1+k^2)),
     which carries the kink at the origin that the well imposes.
     """
-    k = _check_k(k)
+    k = check_finite_positive(float(k), "continuum wavenumber")
     x = np.asarray(x, dtype=float)
     if parity is Parity.ODD:
         value = np.sin(k * x) / math.sqrt(_PI)
@@ -105,18 +67,14 @@ def psi_continuum(parity: Parity, k: float, x):
 
 def x_me_bound(k):
     """<0|x|k, odd> = (4/sqrt(pi)) k/(1+k^2)^2; even states give zero."""
-    k = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-        raise InvalidSpecError("continuum wavenumber must be > 0")
+    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
     value = (4.0 / math.sqrt(_PI)) * k / (1.0 + k * k) ** 2
     return float(value) if value.ndim == 0 else value
 
 
 def x2_me_bound(k):
     """<0|x^2|k, even> = 8k / (sqrt(pi (1+k^2)) (1+k^2)^2); odd give zero."""
-    k = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-        raise InvalidSpecError("continuum wavenumber must be > 0")
+    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
     value = 8.0 * k / (np.sqrt(_PI * (1.0 + k * k)) * (1.0 + k * k) ** 2)
     return float(value) if value.ndim == 0 else value
 
@@ -129,10 +87,8 @@ def bethe_me(parity: Parity, q: float, k):
         odd:  sqrt(4/pi) * 2kq / D          (times i, dropped as phase)
         even: sqrt(4/(pi(1+k^2))) * (-2kq^2) / D
     """
-    q = _check_q(q)
-    k = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-        raise InvalidSpecError("continuum wavenumber must be > 0")
+    q = check_finite_positive(float(q), "momentum transfer")
+    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
     denom = ((k + q) ** 2 + 1.0) * ((k - q) ** 2 + 1.0)
     if parity is Parity.ODD:
         value = math.sqrt(4.0 / _PI) * 2.0 * k * q / denom
@@ -149,9 +105,7 @@ def oscillator_strength_density(k):
     Integrates to exactly 1 over the half line (the f-sum rule with a
     single bound state and no discrete excited spectrum).
     """
-    k = np.asarray(k, dtype=float)
-    if np.any(~np.isfinite(k)) or np.any(k <= 0.0):
-        raise InvalidSpecError("continuum wavenumber must be > 0")
+    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
     value = (16.0 / _PI) * k * k / (1.0 + k * k) ** 3
     return float(value) if value.ndim == 0 else value
 

@@ -31,6 +31,8 @@ from .core import (
     ModelKind,
     TruncationTrace,
     VerificationReport,
+    check_finite_positive,
+    check_state_index,
     make_report,
 )
 from .quadrature import QuadratureResult
@@ -78,18 +80,11 @@ class SumRuleSpec:
             raise InvalidSpecError(
                 f"unsupported rule: operator={self.operator}, power={self.power}"
             )
-        if not isinstance(self.n, (int, np.integer)) or isinstance(self.n, bool):
-            raise InvalidSpecError(f"n must be an integer, got {self.n!r}")
-        if self.n < 1:
-            raise InvalidSpecError(f"n must be >= 1, got {self.n}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", check_state_index(self.n))
         if self.operator is Operator.EXP_IQX:
             if self.q is None:
                 raise InvalidSpecError("EXP_IQX needs a momentum transfer q")
-            q = float(self.q)
-            if not math.isfinite(q) or q <= 0.0:
-                raise InvalidSpecError(f"q must be finite and > 0, got {self.q!r}")
-            object.__setattr__(self, "q", q)
+            object.__setattr__(self, "q", check_finite_positive(float(self.q), "q"))
         elif self.q is not None:
             raise InvalidSpecError("q is only meaningful for EXP_IQX")
 
@@ -100,7 +95,9 @@ class SumRuleSpec:
 
 @dataclass(frozen=True)
 class RuleVerification:
-    """Both routes for one rule, plus the analytic target they chase."""
+    """Both routes for one rule or Stark shift, plus the analytic target
+    they chase.  `components` carries the Bethe parity split the routes
+    were built from; it is None for every other check."""
 
     rule_id: str
     model: ModelKind
@@ -109,6 +106,7 @@ class RuleVerification:
     closed: VerificationReport
     brute: VerificationReport
     passed: bool
+    components: BetheComponents | None = None
 
 
 @dataclass(frozen=True)
@@ -185,9 +183,7 @@ def bethe_component_closed(parity: Parity, q: float) -> float:
 
     The channels sum to q^2/2 identically.
     """
-    q = float(q)
-    if not math.isfinite(q) or q <= 0.0:
-        raise InvalidSpecError(f"q must be finite and > 0, got {q!r}")
+    q = check_finite_positive(float(q), "q")
     half_q2 = 0.5 * q * q
     if parity is Parity.ODD:
         return half_q2 * (1.0 + half_q2) / (1.0 + q * q)
@@ -247,10 +243,6 @@ def bethe_components(q: float, tol: float = DEFAULT_TOL) -> BetheComponents:
     )
 
 
-def _opposite_parity(n: int) -> Parity:
-    return Parity.EVEN if n % 2 else Parity.ODD
-
-
 @dataclass(frozen=True)
 class RulePaths:
     """Left-hand side of one rule along both numerical routes.
@@ -285,7 +277,7 @@ def lhs_isw(
         spec = SumRuleSpec(spec.operator, spec.power, n, spec.q)
     n = spec.n
     rule = spec.rule_name
-    opp = _opposite_parity(n)
+    opp = series.opposite_parity(n)
     if rule == "closure":
         prefactor = 64.0 * n * n / _PI**4
         closed = 0.25 + prefactor * series.weighted_k2_sum(4, n)
@@ -347,19 +339,6 @@ def lhs_delta(spec: SumRuleSpec, tol: float = DEFAULT_TOL) -> RulePaths:
     return RulePaths(parts.total_residue, parts.total_quadrature, trace, parts)
 
 
-def isw_brute_trace(
-    spec: SumRuleSpec,
-    tol: float = DEFAULT_TOL,
-    max_terms: int | None = None,
-) -> TruncationTrace:
-    """Raw lattice-sum trace behind the brute route of one box rule.
-
-    The partial sums are in lattice units, before the rule's matrix
-    element prefactor (and any diagonal term) is applied.
-    """
-    return lhs_isw(spec, tol=tol, max_terms=max_terms).trace
-
-
 def verify(
     spec: SumRuleSpec,
     model: ModelKind,
@@ -389,6 +368,7 @@ def verify(
         closed=closed_report,
         brute=brute_report,
         passed=closed_report.passed and brute_report.passed,
+        components=paths.components,
     )
 
 
@@ -420,8 +400,7 @@ def oscillator_strengths(
     continuum version: `n` is ignored and `k_max` only in that it must
     still be sensible.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-        raise InvalidSpecError(f"n must be an integer >= 1, got {n!r}")
+    n = check_state_index(n)
     if k_max <= n + 1:
         raise InvalidSpecError(f"k_max must exceed n + 1, got {k_max}")
     if model is ModelKind.DELTA:
@@ -442,26 +421,8 @@ def oscillator_strengths(
         entries=tuple((float(kv), float(fv)) for kv, fv in zip(k, f)),
         sum=math.fsum(f),
         tail_bound=tail,
-        n=int(n),
+        n=n,
     )
-
-
-def oscillator_strength_integral(tol: float = DEFAULT_TOL) -> QuadratureResult:
-    """Continuum f-sum for the delta well; the integral equals 1."""
-    return quadrature.integrate_semi_inf(delta.oscillator_strength_density, tol=tol)
-
-
-@dataclass(frozen=True)
-class StarkVerification:
-    """Second-order Stark shift along both routes."""
-
-    rule_id: str
-    model: ModelKind
-    params: Mapping[str, float]
-    analytic: float
-    closed: VerificationReport
-    brute: VerificationReport
-    passed: bool
 
 
 def stark_verify(
@@ -470,7 +431,7 @@ def stark_verify(
     F: float = 1.0,
     tol: float = DEFAULT_TOL,
     max_terms: int | None = None,
-) -> StarkVerification:
+) -> RuleVerification:
     """Compare the closed-form second-order shift with the summed one.
 
     `n_or_bound` names the unperturbed state: a quantum number for the
@@ -485,14 +446,11 @@ def stark_verify(
     if not math.isfinite(F):
         raise InvalidSpecError(f"field strength must be finite, got {F!r}")
     if model is ModelKind.ISW:
-        n = 1 if n_or_bound is None else n_or_bound
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
-            raise InvalidSpecError(f"box state must be an integer >= 1, got {n!r}")
-        n = int(n)
+        n = check_state_index(1 if n_or_bound is None else n_or_bound, "box state")
         analytic = isw.stark_shift2(n, F)
         closed = isw.stark_shift2_series(n, F)
         trace = series.brute_sum(
-            5, n, parity=_opposite_parity(n), weight_k2=True,
+            5, n, parity=series.opposite_parity(n), weight_k2=True,
             tol=tol, max_terms=max_terms,
         )
         brute = -F * F * 2.0 * (8.0 * n / _PI**2) ** 2 * trace.value
@@ -516,7 +474,7 @@ def stark_verify(
         raise InvalidSpecError(f"model must be a ModelKind, got {model!r}")
     closed_report = make_report(rule_id + ".closed", analytic, closed, None, tol)
     brute_report = make_report(rule_id + ".brute", analytic, brute, trace, tol)
-    return StarkVerification(
+    return RuleVerification(
         rule_id=rule_id,
         model=model,
         params=params,

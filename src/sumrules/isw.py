@@ -14,49 +14,24 @@ with diagonals <n|x|n> = 1/2 and <n|x^2|n> = 1/3 - 1/(2 n^2 pi^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import series
-from .core import DomainError, InvalidSpecError
+from .core import DomainError, check_state_index
 
 _PI = math.pi
 
 
-def _check_n(n: int, name: str = "n") -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidSpecError(f"{name} must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidSpecError(f"{name} must be >= 1, got {n}")
-    return int(n)
-
-
-@dataclass(frozen=True)
-class IswState:
-    """Quantum number of one box eigenstate."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-
-    def energy(self) -> float:
-        return energy(self.n)
-
-    def psi(self, x):
-        return psi(self.n, x)
-
-
 def energy(n: int) -> float:
     """Reduced eigenvalue (n pi)^2 / 2."""
-    n = _check_n(n)
+    n = check_state_index(n)
     return 0.5 * (n * _PI) ** 2
 
 
 def psi(n: int, x):
     """Normalized eigenfunction sqrt(2) sin(n pi x); x must lie in [0, 1]."""
-    n = _check_n(n)
+    n = check_state_index(n)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(x > 1.0):
         raise DomainError("x outside the well [0, 1]")
@@ -66,7 +41,7 @@ def psi(n: int, x):
 
 def x_me(n: int, k: int) -> float:
     """<n|x|k>: 1/2 on the diagonal, zero unless n + k is odd."""
-    n, k = _check_n(n), _check_n(k, "k")
+    n, k = check_state_index(n), check_state_index(k, "k")
     if n == k:
         return 0.5
     if (n + k) % 2 == 0:
@@ -76,16 +51,11 @@ def x_me(n: int, k: int) -> float:
 
 def x2_me(n: int, k: int) -> float:
     """<n|x^2|k>: nonzero for every k, alternating in sign off-diagonal."""
-    n, k = _check_n(n), _check_n(k, "k")
+    n, k = check_state_index(n), check_state_index(k, "k")
     if n == k:
         return 1.0 / 3.0 - 1.0 / (2.0 * n * n * _PI**2)
     sign = -1.0 if (k - n) % 2 else 1.0
     return sign * (8.0 * n * k / _PI**2) / float(k * k - n * n) ** 2
-
-
-def stark_shift1(F: float) -> float:
-    """First-order shift of every level in field F: F <x> = F/2."""
-    return 0.5 * F
 
 
 def stark_shift2(n: int, F: float) -> float:
@@ -95,12 +65,12 @@ def stark_shift2(n: int, F: float) -> float:
     companion `stark_shift2_series` rebuilds the same value from the
     k^2-weighted lattice sum; the two must agree identically.
     """
-    n = _check_n(n)
+    n = check_state_index(n)
     return -F * F * (15.0 - (n * _PI) ** 2) / (24.0 * _PI**2 * n**4)
 
 
 def stark_shift2_series(n: int, F: float) -> float:
     """Second-order shift via -F^2 * 2 (8n/pi^2)^2 sum_k k^2/(k^2-n^2)^5."""
-    n = _check_n(n)
+    n = check_state_index(n)
     prefactor = 2.0 * (8.0 * n / _PI**2) ** 2
     return -F * F * prefactor * series.weighted_k2_sum(5, n)

@@ -26,7 +26,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import ArcDivergenceError, InconsistencyError, InvalidSpecError
+from .core import (
+    ArcDivergenceError,
+    InconsistencyError,
+    InvalidSpecError,
+    check_finite_positive,
+)
 from .series import Parity
 
 # Exact complex number: (real, imag) as Fractions.  Floats convert
@@ -114,35 +119,6 @@ class ComplexPoly:
     def degree(self) -> int:
         # the zero polynomial reports degree 0 here; callers treat it as trivial
         return len(self.coefficients) - 1
-
-    def __add__(self, other: "ComplexPoly") -> "ComplexPoly":
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for i, c in enumerate(b):
-            summed[i] += c
-        return ComplexPoly(summed)
-
-    def __mul__(self, other: "ComplexPoly") -> "ComplexPoly":
-        a, b = self.coefficients, other.coefficients
-        out = [0j] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return ComplexPoly(out)
-
-    def scaled(self, factor: complex) -> "ComplexPoly":
-        return ComplexPoly([factor * c for c in self.coefficients])
-
-    def derivative(self) -> "ComplexPoly":
-        if len(self.coefficients) == 1:
-            return ComplexPoly((0j,))
-        return ComplexPoly(
-            [i * c for i, c in enumerate(self.coefficients)][1:]
-        )
 
     def __call__(self, z: complex) -> complex:
         acc = 0j
@@ -293,10 +269,8 @@ def build_bethe_integrand(parity: Parity, q: float, kappa0: float) -> FactoredRa
     """
     if parity is Parity.ALL:
         raise InvalidSpecError("Bethe integrands are built per parity channel")
-    if not (math.isfinite(q) and q > 0):
-        raise InvalidSpecError(f"q must be finite and positive, got {q}")
-    if not (math.isfinite(kappa0) and kappa0 > 0):
-        raise InvalidSpecError(f"kappa0 must be finite and positive, got {kappa0}")
+    check_finite_positive(q, "q")
+    check_finite_positive(kappa0, "kappa0")
     if parity is Parity.ODD:
         numerator = ComplexPoly((0.0, 0.0, kappa0 * kappa0, 0.0, 1.0))
     else:

@@ -27,12 +27,10 @@ S_p(z) = sum_j C(p-1+j, j) zeta_L(2p+2j) z^(2j) over the same lattice L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .core import (
     DEFAULT_TOL,
@@ -42,7 +40,7 @@ from .core import (
     InvalidSpecError,
     PoleError,
     TruncationTrace,
-    checkpoint_indices,
+    check_state_index,
     default_max_terms,
 )
 
@@ -56,24 +54,6 @@ class Parity(Enum):
     ALL = "all"
     EVEN = "even"
     ODD = "odd"
-
-
-@dataclass(frozen=True)
-class SeriesQuery:
-    """Validated request for one closed-form lattice sum."""
-
-    p: int
-    z: float
-    parity: Parity = Parity.ALL
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or isinstance(self.p, bool):
-            raise InvalidSpecError(f"p must be an integer, got {self.p!r}")
-        if not 1 <= self.p <= MAX_P:
-            raise InvalidSpecError(f"p must lie in 1..{MAX_P}, got {self.p}")
-        if not math.isfinite(self.z):
-            raise InvalidSpecError(f"z must be finite, got {self.z}")
-        _guard_pole(self.z, self.parity)
 
 
 def _pole_lattice_distance(z: float, parity: Parity) -> float:
@@ -150,9 +130,33 @@ def _eval_table(table: dict, z: float, x_value: float) -> float:
     return total
 
 
+def _bernoulli_numbers(count: int) -> list[Fraction]:
+    values = [Fraction(1)]
+    for m in range(1, count + 1):
+        # odd-index values past B_1 vanish, so they are skipped
+        acc = sum(math.comb(m + 1, j) * values[j] for j in range(m) if values[j])
+        values.append(-acc / (m + 1))
+    return values
+
+
+# zeta(s) = |B_s| (2 pi)^s / (2 s!) at even s, with pi to 50 digits so
+# that the only rounding is the final float().  Above the table,
+# 1 + 2^-s + ... needs no k past 7: 8^-40 is ~1e-36.
+_ZETA_BERNOULLI_MAX = 40
+_BERNOULLI = _bernoulli_numbers(_ZETA_BERNOULLI_MAX)
+_PI_50 = Fraction("3.14159265358979323846264338327950288419716939937511")
+_ZETA_EVEN = {
+    s: float(abs(_BERNOULLI[s]) * (2 * _PI_50) ** s / (2 * math.factorial(s)))
+    for s in range(2, _ZETA_BERNOULLI_MAX + 1, 2)
+}
+
+
 def _lattice_zeta(s: int, parity: Parity) -> float:
-    """zeta(s) restricted to the requested lattice of positive integers."""
-    full = float(_riemann_zeta(s, 1))
+    """zeta(s), s even, restricted to the requested lattice of positive integers."""
+    if s <= _ZETA_BERNOULLI_MAX:
+        full = _ZETA_EVEN[s]
+    else:
+        full = math.fsum(float(k) ** -s for k in range(1, 8))
     if parity is Parity.ALL:
         return full
     even = full * 2.0 ** (-s)
@@ -180,8 +184,14 @@ def sum_closed(p: int, z: float, parity: Parity = Parity.ALL) -> float:
     (nonzero integers, even or odd integers respectively); z = 0 returns
     the zeta limit, e.g. sum_closed(1, 0) = pi^2/6.
     """
-    query = SeriesQuery(p=p, z=float(z), parity=parity)
-    z = query.z
+    z = float(z)
+    if not isinstance(p, int) or isinstance(p, bool):
+        raise InvalidSpecError(f"p must be an integer, got {p!r}")
+    if not 1 <= p <= MAX_P:
+        raise InvalidSpecError(f"p must lie in 1..{MAX_P}, got {p}")
+    if not math.isfinite(z):
+        raise InvalidSpecError(f"z must be finite, got {z}")
+    _guard_pole(z, parity)
     if parity is Parity.EVEN:
         # even-k terms are 4^-p times the full-lattice terms at z/2
         return 4.0 ** (-p) * sum_closed(p, z / 2.0, Parity.ALL)
@@ -192,22 +202,8 @@ def sum_closed(p: int, z: float, parity: Parity = Parity.ALL) -> float:
     return _eval_table(_ODD_TABLES[p - 1], z, math.tan(_PI * z / 2.0))
 
 
-def s1_closed(z: float) -> float:
-    """S_1(z) = sum over k >= 1 of 1/(k^2 - z^2) in closed form."""
-    return sum_closed(1, z, Parity.ALL)
-
-
-def sp_closed(p: int, z: float) -> float:
-    """S_p(z) over the full positive integer lattice in closed form."""
-    return sum_closed(p, z, Parity.ALL)
-
-
-def sp_parity_closed(p: int, parity: Parity, z: float) -> float:
-    """S_p restricted to the even or odd sublattice (ALL also accepted)."""
-    return sum_closed(p, z, parity)
-
-
-def _opposite_parity(n: int) -> Parity:
+def opposite_parity(n: int) -> Parity:
+    """Lattice of the k of opposite parity to n, the k that x couples n to."""
     return Parity.EVEN if n % 2 else Parity.ODD
 
 
@@ -221,23 +217,15 @@ def weighted_k2_sum(p: int, n: int) -> float:
     """
     if p not in (3, 4, 5):
         raise InvalidSpecError(f"weighted_k2_sum supports p in 3..5, got {p}")
-    n = _validate_state_index(n)
-    parity = _opposite_parity(n)
+    n = check_state_index(n)
+    parity = opposite_parity(n)
     zn = float(n)
     return sum_closed(p - 1, zn, parity) + zn * zn * sum_closed(p, zn, parity)
 
 
-def _validate_state_index(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise InvalidSpecError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidSpecError(f"n must be >= 1, got {n}")
-    return int(n)
-
-
 def removed_term_limit_closed(n: int) -> float:
     """Closed form of T(n) = lim_{z->n} sum_{k != n} k^2/(k^2 - z^2)^3."""
-    n = _validate_state_index(n)
+    n = check_state_index(n)
     n2 = float(n) * float(n)
     return (_PI * _PI / (16.0 * n2)) * (1.0 / 3.0 - 1.0 / (2.0 * n2 * _PI * _PI))
 
@@ -258,21 +246,10 @@ def removed_term_limit_closed(n: int) -> float:
 #
 # leaving only smooth remainders proportional to u/P^3 and v/P^2.
 
-def _bernoulli_numbers(count: int) -> list[Fraction]:
-    values = [Fraction(1)]
-    for m in range(1, count + 1):
-        acc = Fraction(0)
-        for j in range(m):
-            acc += math.comb(m + 1, j) * values[j]
-        values.append(-acc / (m + 1))
-    return values
-
-
 def _cot_tail_coeffs(j_max: int) -> list[Fraction]:
-    """c_j with cot x = 1/x - sum_{j>=1} c_j x^(2j-1), for j = 2..j_max."""
-    bern = _bernoulli_numbers(2 * j_max)
+    """c_j with cot x = 1/x - sum_{j>=1} c_j x^(2j-1), for j = 2..j_max <= 20."""
     return [
-        Fraction(2 ** (2 * j)) * abs(bern[2 * j]) / math.factorial(2 * j)
+        Fraction(2 ** (2 * j)) * abs(_BERNOULLI[2 * j]) / math.factorial(2 * j)
         for j in range(2, j_max + 1)
     ]
 
@@ -334,7 +311,7 @@ def removed_term_sum_limit(
     tableau; accepts once two successive diagonal entries agree to
     rel_tol.  Raises ConvergenceError if the sequence never settles.
     """
-    n = _validate_state_index(n)
+    n = check_state_index(n)
     diag_prev = None
     row: list[float] = []
     for i in range(max_levels):
@@ -359,6 +336,17 @@ def removed_term_sum_limit(
 # -- brute-force summation ---------------------------------------------------
 
 _CHUNK = 65536
+
+
+def checkpoint_indices(n: int) -> list[int]:
+    """1-based geometric checkpoint schedule 1, 2, 4, ... capped at n."""
+    out = []
+    i = 1
+    while i < n:
+        out.append(i)
+        i *= 2
+    out.append(n)
+    return out
 
 
 def _lattice(parity: Parity) -> tuple[int, int]:
@@ -463,6 +451,7 @@ def brute_sum(
         )
 
     checkpoints: list[float] = []
+    checkpoint_terms: list[int] = []
     total = 0.0
     abs_total = 0.0  # roundoff scale: cancellation can leave |total| << this
     chunks = 0
@@ -488,12 +477,14 @@ def brute_sum(
             partial = np.cumsum(values)
             for idx in checkpoint_indices(count):
                 checkpoints.append(float(total + partial[idx - 1]))
+                checkpoint_terms.append(idx)
             total += float(np.sum(values))
             checkpoints[-1] = total
             first_chunk = False
         else:
             total += float(np.sum(values))
             checkpoints.append(total)
+            checkpoint_terms.append(terms_used + count)
         abs_total += float(np.sum(np.abs(values)))
         chunks += 1
         terms_used += count
@@ -519,28 +510,13 @@ def brute_sum(
     derivative_allowance = step * _term_derivative_bound(X, p, z2, weight_k2) / 24.0
     residual = trunc + 2.0 * derivative_allowance + roundoff()
     value = total + integral / step
-    if not checkpoints or checkpoints[-1] != total:
-        checkpoints.append(total)
     return TruncationTrace(
         value=value,
         partial_sums=tuple(checkpoints),
+        checkpoint_terms=tuple(checkpoint_terms),
         terms_used=terms_used,
         last_term=last_term,
         tail_estimate=residual,
         converged=converged,
     )
 
-
-def checkpoint_terms(trace: TruncationTrace) -> tuple[int, ...]:
-    """Term counts matching trace.partial_sums entry for entry.
-
-    Reconstructs the recording schedule of brute_sum: geometric
-    checkpoints inside the first chunk, then one per chunk.
-    """
-    first = min(_CHUNK, trace.terms_used)
-    out = list(checkpoint_indices(first))
-    done = first
-    while done < trace.terms_used:
-        done += min(_CHUNK, trace.terms_used - done)
-        out.append(done)
-    return tuple(out)

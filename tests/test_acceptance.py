@@ -89,25 +89,25 @@ def test_criterion_04_isw_stark():
 
 def test_criterion_05_series_identities():
     with criterion(5, "series identities"):
-        assert rel(series.s1_closed(0.5), 2.0) <= 1e-12
-        assert rel(series.sp_closed(1, 0.0), PI**2 / 6.0) <= 1e-12
-        assert rel(series.sp_closed(2, 0.0), PI**4 / 90.0) <= 1e-12
+        assert rel(series.sum_closed(1, 0.5), 2.0) <= 1e-12
+        assert rel(series.sum_closed(1, 0.0), PI**2 / 6.0) <= 1e-12
+        assert rel(series.sum_closed(2, 0.0), PI**4 / 90.0) <= 1e-12
         for n in (1, 3, 5):
             closed = PI**4 / (768.0 * n * n) - PI**2 / (128.0 * n**4)
             trace = series.brute_sum(4, n, Parity.EVEN, weight_k2=True)
             assert rel(trace.value, closed) <= 1e-10
         for p in (1, 2, 3, 4):
             for z in (0.31, 0.77, 1.52, 4.4):
-                total = series.sp_parity_closed(p, Parity.EVEN, z) \
-                    + series.sp_parity_closed(p, Parity.ODD, z)
-                assert rel(total, series.sp_closed(p, z)) <= 1e-12
+                total = series.sum_closed(p, z, Parity.EVEN) \
+                    + series.sum_closed(p, z, Parity.ODD)
+                assert rel(total, series.sum_closed(p, z)) <= 1e-12
         h = 1e-5
         for p in (1, 2, 3):
             for z in (0.1, 0.3, 0.7, 1.5):
-                derivative = (series.sp_closed(p, z + h)
-                              - series.sp_closed(p, z - h)) / (2.0 * h)
+                derivative = (series.sum_closed(p, z + h)
+                              - series.sum_closed(p, z - h)) / (2.0 * h)
                 stepped = derivative / (2.0 * p * z)
-                assert rel(stepped, series.sp_closed(p + 1, z)) <= 1e-6
+                assert rel(stepped, series.sum_closed(p + 1, z)) <= 1e-6
 
 
 def test_criterion_06_delta_rules():

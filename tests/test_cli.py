@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from sumrules import cli, engine
-from sumrules.cli import main, run
+from sumrules.cli import main
 from sumrules.core import KMAX_ENV_VAR, ModelKind
 from sumrules.engine import Operator, SumRuleSpec
 
@@ -33,11 +33,6 @@ def run_cli(capsys, *argv):
 # ---------------------------------------------------------------- exit codes
 
 
-def test_run_is_main_alias(capsys):
-    assert run(["verify", "--model", "isw", "--rule", "trk", "--n", "1"]) == 0
-    capsys.readouterr()
-
-
 def test_verify_isw_all_rules_passes(capsys):
     code, out, err = run_cli(
         capsys, "verify", "--model", "isw", "--rule", "all", "--n", "1..3"
@@ -55,6 +50,31 @@ def test_verify_delta_all_rules_passes(capsys):
     assert code == 0
     # the per-parity Bethe breakdown rides along in text mode
     assert "B_odd" in out and "B_even" in out and "q^2/2" in out
+
+
+def test_bethe_detail_reuses_row_components(capsys, monkeypatch):
+    """The text breakdown shows the components the Bethe row was built
+    from, evaluated once per q."""
+    calls = []
+    real = engine.bethe_components
+
+    def counting(q, *args, **kwargs):
+        calls.append(q)
+        return real(q, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "bethe_components", counting)
+    code, out, _ = run_cli(
+        capsys, "verify", "--model", "delta", "--rule", "bethe", "--q", "0.5,2"
+    )
+    assert code == 0
+    assert calls == [0.5, 2.0]
+    lines = out.splitlines()
+    start = next(i for i, line in enumerate(lines) if "B_odd" in line) + 2
+    for line, q in zip(lines[start:start + 2], (0.5, 2.0)):
+        spec = SumRuleSpec(Operator.EXP_IQX, 1, q=q)
+        parts = engine.verify(spec, ModelKind.DELTA).components
+        expected = [parts.odd_residue, parts.even_residue, parts.total_residue]
+        assert line.split()[1:4] == [format(v, ".15e") for v in expected]
 
 
 def test_forced_failure_exits_1(capsys):
@@ -389,3 +409,13 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
     assert rows[0]["passed"] is True
+
+
+def test_cli_import_leaves_scipy_out():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sumrules.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

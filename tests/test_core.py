@@ -1,4 +1,4 @@
-"""Unit reduction, report arithmetic, and the shared record types."""
+"""Report arithmetic, the shared record types, and the term-cap setting."""
 
 import math
 
@@ -10,91 +10,11 @@ from sumrules.core import (
     DEFAULT_MAX_TERMS,
     InvalidSpecError,
     KMAX_ENV_VAR,
-    ModelKind,
-    ModelSpec,
     TruncationTrace,
-    UnitScales,
-    checkpoint_indices,
     default_max_terms,
     make_report,
-    to_reduced,
 )
-
-positive = st.floats(min_value=1e-3, max_value=1e3)
-
-
-def test_isw_identity_scaling():
-    red = to_reduced(ModelSpec(ModelKind.ISW, isw_width=1.0))
-    assert red.energy_unit == 1.0
-    assert red.length_unit == 1.0
-    # reduced ground state energy pi^2/2 maps back to itself
-    assert red.to_dimensional_energy(math.pi**2 / 2) == math.pi**2 / 2
-
-
-def test_isw_width_two():
-    red = to_reduced(ModelSpec(ModelKind.ISW, isw_width=2.0))
-    assert red.length_unit == 2.0
-    assert red.energy_unit == 0.25
-    assert red.to_dimensional_energy(math.pi**2 / 2) == pytest.approx(math.pi**2 / 8)
-
-
-def test_delta_kappa_three():
-    red = to_reduced(ModelSpec(ModelKind.DELTA, kappa0=3.0))
-    assert red.length_unit == pytest.approx(1.0 / 3.0)
-    assert red.energy_unit == pytest.approx(9.0)
-    assert red.to_dimensional_energy(-0.5) == pytest.approx(-4.5)
-
-
-def test_delta_derived_accessors():
-    spec = ModelSpec(ModelKind.DELTA, kappa0=2.0, scales=UnitScales(hbar=3.0, mass=4.0))
-    assert spec.coupling == pytest.approx(9.0 * 2.0 / 4.0)
-    assert spec.bound_length == pytest.approx(0.5)
-
-
-@settings(max_examples=30, deadline=None)
-@given(a=positive, hbar=positive, mass=positive, n=st.integers(1, 12))
-def test_isw_round_trip(a, hbar, mass, n):
-    """Re-dimensionalized energies match the dimensional formula."""
-    spec = ModelSpec(ModelKind.ISW, isw_width=a, scales=UnitScales(hbar, mass))
-    red = to_reduced(spec)
-    e_red = 0.5 * (n * math.pi) ** 2
-    e_dim = hbar**2 * n**2 * math.pi**2 / (2 * mass * a**2)
-    assert red.to_dimensional_energy(e_red) == pytest.approx(e_dim, rel=1e-14)
-    assert red.to_dimensional_length(0.5) == pytest.approx(a / 2, rel=1e-14)
-
-
-@settings(max_examples=30, deadline=None)
-@given(kappa0=positive, hbar=positive, mass=positive)
-def test_delta_round_trip(kappa0, hbar, mass):
-    spec = ModelSpec(ModelKind.DELTA, kappa0=kappa0, scales=UnitScales(hbar, mass))
-    red = to_reduced(spec)
-    e_dim = -(hbar**2) * kappa0**2 / (2 * mass)
-    assert red.to_dimensional_energy(-0.5) == pytest.approx(e_dim, rel=1e-14)
-
-
-@pytest.mark.parametrize("width", [0.0, -1.0, math.inf, math.nan, None])
-def test_isw_rejects_bad_width(width):
-    with pytest.raises(InvalidSpecError):
-        ModelSpec(ModelKind.ISW, isw_width=width)
-
-
-@pytest.mark.parametrize("kappa0", [0.0, -2.0, math.inf, math.nan, None])
-def test_delta_rejects_bad_kappa(kappa0):
-    with pytest.raises(InvalidSpecError):
-        ModelSpec(ModelKind.DELTA, kappa0=kappa0)
-
-
-def test_cross_parameters_rejected():
-    with pytest.raises(InvalidSpecError):
-        ModelSpec(ModelKind.ISW, isw_width=1.0, kappa0=1.0)
-    with pytest.raises(InvalidSpecError):
-        ModelSpec(ModelKind.DELTA, kappa0=1.0, isw_width=1.0)
-
-
-@pytest.mark.parametrize("hbar,mass", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)])
-def test_scales_reject_nonpositive(hbar, mass):
-    with pytest.raises(InvalidSpecError):
-        UnitScales(hbar=hbar, mass=mass)
+from sumrules.series import checkpoint_indices
 
 
 @settings(max_examples=50, deadline=None)
@@ -117,11 +37,13 @@ def test_report_zero_analytic_does_not_divide_by_zero():
 
 def test_truncation_trace_validation():
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (), 0, 0.0, 0.0, True)
+        TruncationTrace(0.0, (), (), 0, 0.0, 0.0, True)
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (0.0,), -1, 0.0, 0.0, True)
+        TruncationTrace(0.0, (0.0,), (), 1, 0.0, 0.0, True)
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (0.0,), 1, 0.0, -1.0, True)
+        TruncationTrace(0.0, (0.0,), (0,), -1, 0.0, 0.0, True)
+    with pytest.raises(InvalidSpecError):
+        TruncationTrace(0.0, (0.0,), (1,), 1, 0.0, -1.0, True)
 
 
 def test_checkpoint_indices_schedule():

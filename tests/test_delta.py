@@ -158,16 +158,6 @@ def test_stark_shift():
     assert delta.stark_shift2_delta(-1.0) == -0.625
 
 
-def test_continuum_state_record():
-    state = delta.DeltaContinuumState(1.5, Parity.ODD)
-    assert state.energy() == pytest.approx(1.125)
-    assert state.psi(0.4) == pytest.approx(delta.psi_continuum(Parity.ODD, 1.5, 0.4))
-    with pytest.raises(InvalidSpecError):
-        delta.DeltaContinuumState(1.0, Parity.ALL)
-    with pytest.raises(InvalidSpecError):
-        delta.DeltaContinuumState(-1.0, Parity.ODD)
-
-
 def test_invalid_arguments():
     with pytest.raises(InvalidSpecError):
         delta.x_me_bound(0.0)
@@ -181,3 +171,5 @@ def test_invalid_arguments():
         delta.psi_continuum(Parity.ALL, 1.0, 0.0)
     with pytest.raises(InvalidSpecError):
         delta.energy_continuum(math.nan)
+    with pytest.raises(InvalidSpecError):
+        delta.psi_continuum(Parity.ODD, -1.0, 0.4)

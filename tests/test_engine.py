@@ -17,7 +17,6 @@ from sumrules.engine import (
     half_line_moment,
     lhs_delta,
     lhs_isw,
-    oscillator_strength_integral,
     oscillator_strengths,
     stark_verify,
     verify,
@@ -257,8 +256,6 @@ def test_oscillator_strengths_delta():
     table = oscillator_strengths(ModelKind.DELTA)
     assert table.entries == ()
     assert table.sum == pytest.approx(1.0, rel=1e-9)
-    integral = oscillator_strength_integral(tol=1e-12)
-    assert integral.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_oscillator_strengths_validation():

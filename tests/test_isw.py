@@ -27,7 +27,6 @@ def integral_me(n, k, power):
 def test_energies():
     assert isw.energy(1) == pytest.approx(PI**2 / 2, rel=1e-15)
     assert isw.energy(3) == pytest.approx(9 * PI**2 / 2, rel=1e-15)
-    assert isw.IswState(4).energy() == isw.energy(4)
 
 
 def test_psi_normalization_and_orthogonality():
@@ -97,10 +96,6 @@ def test_x2_never_vanishes_off_diagonal(n, k):
         assert isw.x2_me(n, k) != 0.0
 
 
-def test_stark_first_order():
-    assert isw.stark_shift1(2.0) == 1.0
-
-
 def test_stark_second_order_values_and_signs():
     assert isw.stark_shift2(1, 1.0) == pytest.approx(
         -(15.0 - PI**2) / (24.0 * PI**2), rel=1e-15
@@ -130,5 +125,3 @@ def test_invalid_quantum_numbers():
             isw.energy(bad)
     with pytest.raises(InvalidSpecError):
         isw.x_me(1, 0)
-    with pytest.raises(InvalidSpecError):
-        isw.IswState(0)

@@ -35,16 +35,6 @@ def test_poly_trims_and_evaluates():
     assert p(3.0) == 7 + 0j
 
 
-def test_poly_arithmetic():
-    a = ComplexPoly([1.0, 1.0])       # 1 + z
-    b = ComplexPoly([0.0, 0.0, 2.0])  # 2 z^2
-    assert (a + b).coefficients == (1 + 0j, 1 + 0j, 2 + 0j)
-    assert (a * b).coefficients == (0j, 0j, 2 + 0j, 2 + 0j)
-    assert a.scaled(2j).coefficients == (2j, 2j)
-    assert b.derivative().coefficients == (0j, 4 + 0j)
-    assert ComplexPoly([5.0]).derivative().coefficients == (0j,)
-
-
 def test_simple_pole_residue():
     # 1/(z^2+1) = 1/((z-i)(z+i)); residue at i is 1/(2i)
     f = FactoredRational([1.0], [(1j, 1), (-1j, 1)])

@@ -13,16 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumrules import series
 from sumrules.core import ConvergenceError, DomainError, InvalidSpecError, PoleError
 from sumrules.series import (
     Parity,
     brute_sum,
-    checkpoint_terms,
     removed_term_limit_closed,
     removed_term_sum_limit,
-    s1_closed,
-    sp_closed,
-    sp_parity_closed,
     sum_closed,
     weighted_k2_sum,
 )
@@ -35,13 +32,40 @@ SAFE_Z = [0.07, 0.25, 0.4, 0.61, 1.31, 2.45, 3.52, 7.63]
 
 def test_s1_at_half_is_two():
     # sum over k of 1/(k^2 - 1/4) telescopes: 2 sum (1/(2k-1) - 1/(2k+1)) = 2
-    assert s1_closed(0.5) == pytest.approx(2.0, rel=1e-14)
+    assert sum_closed(1, 0.5) == pytest.approx(2.0, rel=1e-14)
 
 
 def test_zeta_limits():
-    assert sp_closed(1, 0.0) == pytest.approx(PI**2 / 6, rel=1e-12)
-    assert sp_closed(2, 0.0) == pytest.approx(PI**4 / 90, rel=1e-12)
-    assert sp_closed(3, 0.0) == pytest.approx(1.0173430619844492, rel=1e-12)
+    assert sum_closed(1, 0.0) == pytest.approx(PI**2 / 6, rel=1e-12)
+    assert sum_closed(2, 0.0) == pytest.approx(PI**4 / 90, rel=1e-12)
+    assert sum_closed(3, 0.0) == pytest.approx(1.0173430619844492, rel=1e-12)
+
+
+def test_lattice_zeta_matches_mpmath(monkeypatch):
+    """Every zeta value the small-z expansion can reach is within 4 ulp
+    of mpmath, on each lattice."""
+    mpmath = pytest.importorskip("mpmath")
+    zeta = series._lattice_zeta
+    reached = set()
+
+    def recording_zeta(s, parity):
+        reached.add(s)
+        return zeta(s, parity)
+
+    monkeypatch.setattr(series, "_lattice_zeta", recording_zeta)
+    edge = math.nextafter(0.5, 0.0)  # largest |z| that takes the expansion
+    for parity in (Parity.ALL, Parity.ODD):
+        for p in range(1, series.MAX_P + 1):
+            series._small_z_series(p, edge, parity)
+    assert max(reached) > series._ZETA_BERNOULLI_MAX  # both branches run
+    with mpmath.workdps(40):
+        for s in range(2, max(reached) + 1, 2):
+            full = mpmath.zeta(s)
+            even = full / mpmath.mpf(2) ** s
+            for parity, exact in ((Parity.ALL, full), (Parity.EVEN, even),
+                                  (Parity.ODD, full - even)):
+                err = abs(mpmath.mpf(zeta(s, parity)) - exact)
+                assert err <= 4 * math.ulp(float(exact)), (s, parity)
 
 
 def test_small_z_matches_cotangent_branch():
@@ -61,7 +85,7 @@ def test_closed_vs_brute_all_lattice(p, z):
     tol = 1e-9 if p == 1 else 1e-12
     trace = brute_sum(p, z, tol=tol)
     assert trace.converged
-    closed = sp_closed(p, z)
+    closed = sum_closed(p, z)
     assert abs(closed - trace.value) <= max(trace.tail_estimate, tol * abs(closed))
 
 
@@ -69,7 +93,7 @@ def test_closed_vs_brute_all_lattice(p, z):
 @pytest.mark.parametrize("z", [0.3, 0.7, 1.4, 2.6])
 def test_closed_vs_brute_sublattices(parity, z):
     trace = brute_sum(3, z, parity=parity, tol=1e-12)
-    closed = sp_parity_closed(3, parity, z)
+    closed = sum_closed(3, z, parity)
     assert closed == pytest.approx(trace.value, rel=1e-10)
 
 
@@ -82,9 +106,9 @@ def test_closed_vs_brute_sublattices(parity, z):
 )
 def test_parity_partition(p, z):
     """Even and odd channels add up to the full lattice sum."""
-    total = sp_closed(p, z)
-    even = sp_parity_closed(p, Parity.EVEN, z)
-    odd = sp_parity_closed(p, Parity.ODD, z)
+    total = sum_closed(p, z)
+    even = sum_closed(p, z, Parity.EVEN)
+    odd = sum_closed(p, z, Parity.ODD)
     assert even + odd == pytest.approx(total, rel=1e-12, abs=1e-15)
 
 
@@ -95,10 +119,10 @@ def test_finite_difference_recursion(p, parity, z):
     """S_{p+1} = (1/(2pz)) dS_p/dz, checked with central differences."""
     h = 1e-5
     derivative = (
-        sp_parity_closed(p, parity, z + h) - sp_parity_closed(p, parity, z - h)
+        sum_closed(p, z + h, parity) - sum_closed(p, z - h, parity)
     ) / (2 * h)
     lifted = derivative / (2 * p * z)
-    assert lifted == pytest.approx(sp_parity_closed(p + 1, parity, z), rel=1e-6)
+    assert lifted == pytest.approx(sum_closed(p + 1, z, parity), rel=1e-6)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
@@ -161,7 +185,7 @@ def test_removed_term_extrapolation_failure_surfaces():
 
 def test_brute_tail_estimate_is_conservative():
     for p, z in [(2, 0.3), (3, 1.5), (4, 2.45)]:
-        exact = sp_closed(p, z)
+        exact = sum_closed(p, z)
         for cap in (200, 2000):
             trace = brute_sum(p, z, max_terms=cap)
             # the 1e-14 floor absorbs float accumulation over the terms
@@ -178,9 +202,9 @@ def test_tail_estimate_honest_when_cut_early(p, weight, z, cap):
     assert not trace.converged
     if weight:
         # k^2/(k^2-z^2)^p = 1/(k^2-z^2)^(p-1) + z^2/(k^2-z^2)^p
-        closed = sp_closed(p - 1, z) + z * z * sp_closed(p, z)
+        closed = sum_closed(p - 1, z) + z * z * sum_closed(p, z)
     else:
-        closed = sp_closed(p, z)
+        closed = sum_closed(p, z)
     assert math.isfinite(trace.tail_estimate)
     # the closed form carries its own few-ulp noise, hence the floor
     assert abs(trace.value - closed) <= trace.tail_estimate + 1e-14 * abs(closed)
@@ -202,7 +226,7 @@ def test_brute_respects_max_terms():
 def test_checkpoint_terms_aligns_with_partial_sums():
     for cap in (100, 70_000, 200_000):
         trace = brute_sum(2, 0.5, max_terms=cap)
-        terms = checkpoint_terms(trace)
+        terms = trace.checkpoint_terms
         assert len(terms) == len(trace.partial_sums)
         assert terms[-1] == trace.terms_used
         assert all(a < b for a, b in zip(terms, terms[1:]))
@@ -210,11 +234,11 @@ def test_checkpoint_terms_aligns_with_partial_sums():
 
 def test_pole_guard():
     with pytest.raises(PoleError):
-        sp_closed(2, 3.000000001)
+        sum_closed(2, 3.000000001)
     with pytest.raises(PoleError):
-        sp_parity_closed(2, Parity.EVEN, 2.0)
+        sum_closed(2, 2.0, Parity.EVEN)
     # odd lattice has no pole at even integers
-    assert math.isfinite(sp_parity_closed(2, Parity.ODD, 2.0))
+    assert math.isfinite(sum_closed(2, 2.0, Parity.ODD))
 
 
 def test_brute_lattice_pole_rejected():
@@ -227,9 +251,9 @@ def test_brute_lattice_pole_rejected():
 
 def test_invalid_queries():
     with pytest.raises(InvalidSpecError):
-        sp_closed(0, 0.5)
+        sum_closed(0, 0.5)
     with pytest.raises(InvalidSpecError):
-        sp_closed(99, 0.5)
+        sum_closed(99, 0.5)
     with pytest.raises(InvalidSpecError):
         sum_closed(2, math.inf)
     with pytest.raises(InvalidSpecError):
