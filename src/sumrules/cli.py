@@ -157,7 +157,10 @@ def _to_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        if math.isfinite(obj):
+            return _fmt_float(obj)
+        # the spelling json.dumps uses, so that json.loads reads it back
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
     if obj is None:
         return "null"
     if isinstance(obj, str):

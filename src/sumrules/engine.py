@@ -339,6 +339,28 @@ def lhs_delta(spec: SumRuleSpec, tol: float = DEFAULT_TOL) -> RulePaths:
     return RulePaths(parts.total_residue, parts.total_quadrature, trace, parts)
 
 
+def _verification(
+    rule_id: str,
+    model: ModelKind,
+    params: dict[str, float],
+    analytic: float,
+    paths: RulePaths,
+    tol: float,
+) -> RuleVerification:
+    closed = make_report(rule_id + ".closed", analytic, paths.closed, None, tol)
+    brute = make_report(rule_id + ".brute", analytic, paths.brute, paths.trace, tol)
+    return RuleVerification(
+        rule_id=rule_id,
+        model=model,
+        params=params,
+        analytic=analytic,
+        closed=closed,
+        brute=brute,
+        passed=closed.passed and brute.passed,
+        components=paths.components,
+    )
+
+
 def verify(
     spec: SumRuleSpec,
     model: ModelKind,
@@ -356,20 +378,7 @@ def verify(
         paths = lhs_delta(spec, tol=tol)
         params = {"q": spec.q} if spec.operator is Operator.EXP_IQX else {}
     rule_id = f"{model.value}.{spec.rule_name}"
-    closed_report = make_report(rule_id + ".closed", analytic, paths.closed, None, tol)
-    brute_report = make_report(
-        rule_id + ".brute", analytic, paths.brute, paths.trace, tol
-    )
-    return RuleVerification(
-        rule_id=rule_id,
-        model=model,
-        params=params,
-        analytic=analytic,
-        closed=closed_report,
-        brute=brute_report,
-        passed=closed_report.passed and brute_report.passed,
-        components=paths.components,
-    )
+    return _verification(rule_id, model, params, analytic, paths, tol)
 
 
 @dataclass(frozen=True)
@@ -472,14 +481,6 @@ def stark_verify(
         rule_id = "delta.stark2"
     else:
         raise InvalidSpecError(f"model must be a ModelKind, got {model!r}")
-    closed_report = make_report(rule_id + ".closed", analytic, closed, None, tol)
-    brute_report = make_report(rule_id + ".brute", analytic, brute, trace, tol)
-    return RuleVerification(
-        rule_id=rule_id,
-        model=model,
-        params=params,
-        analytic=analytic,
-        closed=closed_report,
-        brute=brute_report,
-        passed=closed_report.passed and brute_report.passed,
+    return _verification(
+        rule_id, model, params, analytic, RulePaths(closed, brute, trace), tol
     )

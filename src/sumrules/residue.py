@@ -6,17 +6,18 @@ along the real axis by closing in the upper half plane:
     integral over R of F(k) dk = 2 pi i * sum of UHP residues,
 
 valid when deg(numerator) <= (total pole order) - 2 so the arc at
-infinity vanishes.  Residues at a pole z0 of order m come from
+infinity vanishes.  For F = N / prod (z - z_j)^(m_j), the residue at
+the pole z_i = z0 of order m = m_i is
 
-    Res = (1/(m-1)!) d^(m-1)/dz^(m-1) [ (z - z0)^m F(z) ]  at z0,
+    Res = [t^(m-1)] N(z0 + t) prod_{j != i} (z0 - z_j + t)^(-m_j),
 
-with the derivatives taken exactly on a (numerator, denominator)
-polynomial pair via the quotient rule.  The algebra runs over exact
-Gaussian rationals (every input float converts losslessly to a
-Fraction), so residue sums cancel identically: the real-line integral
-comes out with at most one rounding at the final float conversion, and
-the reality check on 2 pi i times the residue sum is exact rather than
-a roundoff fight.
+the t^(m-1) coefficient of a product of truncated Taylor series at the
+pole: N's from synthetic division, each other pole's from the binomial
+series.  The algebra runs over exact Gaussian rationals (every input
+float converts losslessly to a Fraction), so residue sums cancel
+identically: the real-line integral comes out with at most one rounding
+at the final float conversion, and the reality check on 2 pi i times the
+residue sum is exact rather than a roundoff fight.
 """
 
 from __future__ import annotations
@@ -56,49 +57,6 @@ def _qc_mul(a: _QC, b: _QC) -> _QC:
 def _qc_div(a: _QC, b: _QC) -> _QC:
     norm = b[0] * b[0] + b[1] * b[1]
     return ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
-
-
-# Polynomials over _QC, ascending powers, as plain tuples.
-_QPoly = tuple[_QC, ...]
-_QP_ONE: _QPoly = (_QC_ONE,)
-
-
-def _qp_from(poly: "ComplexPoly") -> _QPoly:
-    return tuple(_qc(c) for c in poly.coefficients)
-
-
-def _qp_add(a: _QPoly, b: _QPoly) -> _QPoly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = _qc_add(out[i], c)
-    return tuple(out)
-
-
-def _qp_mul(a: _QPoly, b: _QPoly) -> _QPoly:
-    out = [_QC_ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] = _qc_add(out[i + j], _qc_mul(ca, cb))
-    return tuple(out)
-
-
-def _qp_neg(a: _QPoly) -> _QPoly:
-    return tuple((-re, -im) for re, im in a)
-
-
-def _qp_derivative(a: _QPoly) -> _QPoly:
-    if len(a) == 1:
-        return (_QC_ZERO,)
-    return tuple((i * re, i * im) for i, (re, im) in enumerate(a) if i > 0)
-
-
-def _qp_eval(a: _QPoly, z: _QC) -> _QC:
-    acc = _QC_ZERO
-    for c in reversed(a):
-        acc = _qc_add(_qc_mul(acc, z), c)
-    return acc
 
 
 @dataclass(frozen=True)
@@ -172,38 +130,56 @@ class FactoredRational:
         return value
 
 
+def _taylor_at(coefficients: Sequence[_QC], z0: _QC, count: int) -> list[_QC]:
+    """First `count` Taylor coefficients at z0 of the polynomial with
+    ascending `coefficients`, zero-padded past its degree; each synthetic
+    division by (z - z0) leaves the next one as the remainder."""
+    out: list[_QC] = []
+    rest = list(coefficients)
+    while rest and len(out) < count:
+        quotient = []
+        acc = _QC_ZERO
+        for c in reversed(rest):
+            acc = _qc_add(_qc_mul(acc, z0), c)
+            quotient.append(acc)
+        out.append(quotient.pop())
+        rest = quotient[::-1]
+    return out + [_QC_ZERO] * (count - len(out))
+
+
 def _residue_at_exact(f: FactoredRational, pole_index: int) -> _QC:
     location, order = f.poles[pole_index]
-    # h(z) = (z - z0)^m f(z) = numer / denom with the pole cancelled
-    numer = _qp_from(f.numerator)
-    denom = _QP_ONE
+    z0 = _qc(location)
+    # h(z0 + t) = N(z0 + t) prod_{j != i} (d_j + t)^(-m_j), d_j = z0 - z_j;
+    # the residue is its t^(m-1) coefficient
+    series = _taylor_at([_qc(c) for c in f.numerator.coefficients], z0, order)
     for j, (other, m) in enumerate(f.poles):
         if j == pole_index:
             continue
-        neg_root = (Fraction(-other.real), Fraction(-other.imag))
-        factor: _QPoly = (neg_root, _QC_ONE)
+        inv = _qc_div(_QC_ONE, _qc_add(z0, _qc(-other)))
+        # (d + t)^(-m) = sum_k C(m+k-1, k) (-1)^k d^(-m-k) t^k
+        power = _QC_ONE
         for _ in range(m):
-            denom = _qp_mul(denom, factor)
-    for _ in range(order - 1):
-        numer, denom = (
-            _qp_add(
-                _qp_mul(_qp_derivative(numer), denom),
-                _qp_neg(_qp_mul(numer, _qp_derivative(denom))),
-            ),
-            _qp_mul(denom, denom),
-        )
-    z0 = _qc(location)
-    value = _qc_div(_qp_eval(numer, z0), _qp_eval(denom, z0))
-    fact = Fraction(math.factorial(order - 1))
-    return (value[0] / fact, value[1] / fact)
+            power = _qc_mul(power, inv)
+        factor = []
+        for k in range(order):
+            c = (-1) ** k * math.comb(m + k - 1, k)
+            factor.append((c * power[0], c * power[1]))
+            power = _qc_mul(power, inv)
+        product = [_QC_ZERO] * order
+        for i, a in enumerate(series):
+            for k, b in enumerate(factor[: order - i]):
+                product[i + k] = _qc_add(product[i + k], _qc_mul(a, b))
+        series = product
+    return series[order - 1]
 
 
 def residue_at(f: FactoredRational, pole_index: int) -> complex:
-    """Residue of f at f.poles[pole_index] by exact quotient-rule algebra.
+    """Residue of f at f.poles[pole_index] from exact Taylor coefficients.
 
-    The (m-1)-fold derivative of (z - z0)^m f(z) is carried out on a
-    polynomial pair over exact rationals; the returned complex is the
-    single rounding step.
+    The residue at a pole z0 of order m is the t^(m-1) coefficient of
+    (z - z0)^m f(z) expanded at z = z0 + t, carried out over exact
+    rationals; the returned complex is the single rounding step.
     """
     if not 0 <= pole_index < len(f.poles):
         raise InvalidSpecError(f"pole_index {pole_index} out of range")
@@ -215,11 +191,7 @@ def _check_conjugate_symmetry(f: FactoredRational) -> None:
     remaining = list(f.poles)
     while remaining:
         location, order = remaining.pop()
-        if location.imag == 0:  # unreachable; constructor forbids it
-            continue
         partner = (location.conjugate(), order)
-        if partner == (location, order):
-            continue
         if partner in remaining:
             remaining.remove(partner)
         else:

@@ -18,9 +18,11 @@ and climb in p through the differentiation identity
 S_{p+1}(z) = S_p'(z) / (2 p z).  The derivative is applied exactly on a
 small closed family of terms A pi^t z^(-m) X^e (X = cot(pi z) for the
 full lattice, X = tan(pi z / 2) for the odd sublattice), so no symbolic
-algebra or numerical differentiation is involved.  Near z = 0 the closed
-forms lose digits to cancellation, so |z| < 1/2 switches to the
-absolutely convergent zeta expansion
+algebra or numerical differentiation is involved.  X comes from sin and
+cos of pi times z - round(z), a reduction exact in binary64, so large z
+lose no digits and the integer or half-integer z of the box rules give
+X = 0 exactly.  Near z = 0 the closed forms lose digits to cancellation,
+so |z| < 1/2 switches to the absolutely convergent zeta expansion
 S_p(z) = sum_j C(p-1+j, j) zeta_L(2p+2j) z^(2j) over the same lattice L.
 """
 
@@ -177,6 +179,22 @@ def _small_z_series(p: int, z: float, parity: Parity) -> float:
     raise ConvergenceError(f"zeta expansion of S_{p} stalled at z={z}")
 
 
+def _sin_cos_pi(x: float) -> tuple[float, float]:
+    """(sin(pi x), cos(pi x)) from the exact reduction r = x - round(x).
+
+    Past |r| = 1/4 the complement 1/2 - |r|, also exact, keeps the small
+    argument on the function that vanishes: half-integers give cos = 0.
+    """
+    k = round(x)
+    r = x - k
+    if abs(r) <= 0.25:
+        sin, cos = math.sin(_PI * r), math.cos(_PI * r)
+    else:
+        a = _PI * (0.5 - abs(r))
+        sin, cos = math.copysign(math.cos(a), r), math.sin(a)
+    return (-sin, -cos) if k % 2 else (sin, cos)
+
+
 def sum_closed(p: int, z: float, parity: Parity = Parity.ALL) -> float:
     """Closed-form S_p(z) over the full, even, or odd positive lattice.
 
@@ -198,8 +216,10 @@ def sum_closed(p: int, z: float, parity: Parity = Parity.ALL) -> float:
     if abs(z) < _SERIES_RADIUS:
         return _small_z_series(p, z, parity)
     if parity is Parity.ALL:
-        return _eval_table(_ALL_TABLES[p - 1], z, 1.0 / math.tan(_PI * z))
-    return _eval_table(_ODD_TABLES[p - 1], z, math.tan(_PI * z / 2.0))
+        sin, cos = _sin_cos_pi(z)
+        return _eval_table(_ALL_TABLES[p - 1], z, cos / sin)
+    sin, cos = _sin_cos_pi(z / 2.0)
+    return _eval_table(_ODD_TABLES[p - 1], z, sin / cos)
 
 
 def opposite_parity(n: int) -> Parity:

@@ -7,6 +7,7 @@ the installed entry point end to end.
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
@@ -284,6 +285,27 @@ def test_stark_isw_and_delta(capsys):
     assert row["params"] == {"F": 0.25}
     assert row["rule"] == "stark"
     assert row["passed"] is True
+
+
+def test_stark_isw_large_n_passes_on_both_routes(capsys):
+    code, out, _ = run_cli(
+        capsys, "stark", "--model", "isw", "--n", "1000", "--format", "json"
+    )
+    row = json.loads(out)[0]
+    assert code == 0
+    assert row["rel_err_closed"] <= 1e-14 and row["passed"] is True
+
+
+def test_json_report_parses_with_non_finite_values(capsys):
+    # F^2 overflows at F = 1e300, so the row carries inf and nan; the
+    # report must still be JSON that json.loads accepts
+    code, out, _ = run_cli(
+        capsys, "stark", "--model", "delta", "--F", "1e300", "--format", "json"
+    )
+    row = json.loads(out)[0]
+    assert code == 1
+    assert row["analytic"] == -math.inf
+    assert math.isnan(row["rel_err_closed"])
 
 
 def test_series_plain_weighted_removed(capsys):

@@ -47,6 +47,32 @@ def test_double_pole_residue_exact():
     assert residue_at(f, 0) == -0.25j
 
 
+def test_residue_with_numerator_below_pole_order():
+    # (1 + z)/(z^2+1)^3 at i: the odd part z/(z^2+1)^3 has residue 0 there,
+    # so the residue is that of 1/(z^2+1)^3, -3i/16; the numerator's
+    # Taylor series at the pole stops short of the t^2 the residue needs
+    f = FactoredRational([1.0, 1.0], [(1j, 3), (-1j, 3)])
+    assert residue_at(f, 0) == -0.1875j
+    assert contour_integral_uhp(f) == 3.0 * PI / 8.0
+    # with no other pole the numerator alone holds h(z0 + t) = 1 + i + t
+    assert residue_at(FactoredRational([1.0, 1.0], [(1j, 3)]), 0) == 0j
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_power_of_lorentzian_is_exact(m):
+    # int (x^2+1)^-m dx = pi C(2m-2, m-1) / 4^(m-1): the residue sum is a
+    # dyadic rational, so one rounding of pi times it is all that is left
+    f = FactoredRational([1.0], [(1j, m), (-1j, m)])
+    assert contour_integral_uhp(f) == PI * math.comb(2 * m - 2, m - 1) / 4 ** (m - 1)
+
+
+def test_mixed_pole_orders_match_quadrature():
+    poles = [(1j, 3), (-1j, 3), (complex(2.0, 0.5), 1), (complex(2.0, -0.5), 1)]
+    f = FactoredRational([1.0, 0.5, 2.0, 0.0, -1.5], poles)
+    quad = integrate_real_line(lambda k: f(k).real, scale=2.0, tol=1e-12)
+    assert contour_integral_uhp(f) == pytest.approx(quad.value, rel=1e-9)
+
+
 def test_residue_index_out_of_range():
     f = FactoredRational([1.0], [(1j, 1), (-1j, 1)])
     with pytest.raises(InvalidSpecError):
@@ -130,6 +156,26 @@ def test_bethe_full_line_values_at_unit_q():
     even = contour_integral_uhp(build_bethe_integrand(Parity.EVEN, 1.0, 1.0))
     assert odd == pytest.approx(3.0 * PI / 32.0, rel=1e-14)
     assert even == pytest.approx(PI / 32.0, rel=1e-14)
+
+
+# float.hex of the two channels at kappa0 = 1, frozen from the
+# quotient-rule residue algebra this module used before; any exact
+# residue method must reproduce every bit
+_BETHE_HEX = [
+    (0.0001, "0x1.921fb52287463p-2", "0x1.921fb500cbbafp-3"),
+    (0.0123, "0x1.9217ec0d0a477p-2", "0x1.921022d5d1bd6p-3"),
+    (1.0, "0x1.2d97c7f3321d2p-2", "0x1.921fb54442d18p-4"),
+    (1.7, "0x1.f97f62e0aadd4p-3", "0x1.9d7eb671a02efp-5"),
+    (345.6, "0x1.922091e8ad099p-3", "0x1.b948d47034475p-20"),
+    (10000.0, "0x1.921fb587b9e81p-3", "0x1.0ddc5a3405e89p-29"),
+]
+
+
+@pytest.mark.parametrize("q, odd_hex, even_hex", _BETHE_HEX)
+def test_bethe_contour_values_are_frozen_bit_for_bit(q, odd_hex, even_hex):
+    odd = contour_integral_uhp(build_bethe_integrand(Parity.ODD, q, 1.0))
+    even = contour_integral_uhp(build_bethe_integrand(Parity.EVEN, q, 1.0))
+    assert (odd.hex(), even.hex()) == (odd_hex, even_hex)
 
 
 def test_bethe_integrand_shape():

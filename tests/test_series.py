@@ -125,15 +125,22 @@ def test_finite_difference_recursion(p, parity, z):
     assert lifted == pytest.approx(sum_closed(p + 1, z, parity), rel=1e-6)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 9])
+@pytest.mark.parametrize(
+    "n", [1, 2, 3, 5, 9, 1000, 1001, 10_000, 10_001, 99_999, 100_000]
+)
 def test_weighted_k2_closed_forms(n):
+    # large n stays exact to roundoff only if cot/tan see the argument
+    # reduced before the multiply by pi; abs=0 because the sums fall
+    # like n^-2 to n^-4, below approx's default absolute slack
     n2 = float(n * n)
-    assert weighted_k2_sum(3, n) == pytest.approx(PI**2 / (64 * n2), rel=1e-13)
+    assert weighted_k2_sum(3, n) == pytest.approx(
+        PI**2 / (64 * n2), rel=1e-14, abs=0
+    )
     assert weighted_k2_sum(4, n) == pytest.approx(
-        PI**4 / (768 * n2) - PI**2 / (128 * n2 * n2), rel=1e-13
+        PI**4 / (768 * n2) - PI**2 / (128 * n2 * n2), rel=1e-14, abs=0
     )
     assert weighted_k2_sum(5, n) == pytest.approx(
-        PI**2 * (15 - n2 * PI**2) / (3072 * n2**3), rel=1e-12
+        PI**2 * (15 - n2 * PI**2) / (3072 * n2**3), rel=1e-14, abs=0
     )
 
 
