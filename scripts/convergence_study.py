@@ -22,8 +22,9 @@ from sumrules.series import Parity  # noqa: E402
 COLUMNS = ("rule", "n", "max_terms", "value", "closed",
            "abs_err", "tail_estimate", "within_tail")
 
-# forces the run to exhaust its cap so every ladder rung is comparable
-EXHAUSTIVE_TOL = 1e-16
+# no last term is ever <= 0 * |value|, so neither the convergence test nor
+# the roundoff stop fires and every ladder rung runs to its cap
+EXHAUSTIVE_TOL = 0.0
 
 
 @dataclass

@@ -54,13 +54,13 @@ _VERIFY_CSV_COLUMNS = (
     "rule", "model", "n", "q", "F",
     "analytic", "numeric_closed", "numeric_brute",
     "rel_err_closed", "rel_err_brute", "passed",
-    "terms_used", "evaluations", "tail_estimate", "est_error",
+    "terms_used", "evaluations", "tail_estimate", "est_error", "converged",
 )
 _SERIES_CSV_COLUMNS = (
     "rule", "p", "n", "z", "parity",
     "analytic", "numeric_closed", "numeric_brute",
     "rel_err_closed", "rel_err_brute", "passed",
-    "terms_used", "tail_estimate",
+    "terms_used", "tail_estimate", "converged",
 )
 _SWEEP_CSV_COLUMNS = (
     "rule", "model", "n", "terms", "partial_sum",
@@ -171,9 +171,11 @@ def _to_json(obj, indent: int = 0) -> str:
 
 def _trace_dict(trace) -> dict:
     if isinstance(trace, TruncationTrace):
-        return {"terms_used": trace.terms_used, "tail_estimate": trace.tail_estimate}
+        return {"terms_used": trace.terms_used, "tail_estimate": trace.tail_estimate,
+                "converged": trace.converged}
     if isinstance(trace, QuadratureResult):
-        return {"evaluations": trace.evaluations, "est_error": trace.est_error}
+        return {"evaluations": trace.evaluations, "est_error": trace.est_error,
+                "converged": trace.converged}
     return {}
 
 
@@ -430,6 +432,7 @@ def _render_csv(cfg: RunConfig, rows: list[dict]) -> str:
                 _csv_value(row["numeric_brute"]), _csv_value(row["rel_err_closed"]),
                 _csv_value(row["rel_err_brute"]), _csv_value(row["passed"]),
                 _csv_value(trace.get("terms_used")), _csv_value(trace.get("tail_estimate")),
+                _csv_value(trace.get("converged")),
             ])
         return buffer.getvalue()
     writer.writerow(_VERIFY_CSV_COLUMNS)
@@ -443,6 +446,7 @@ def _render_csv(cfg: RunConfig, rows: list[dict]) -> str:
             _csv_value(row["rel_err_brute"]), _csv_value(row["passed"]),
             _csv_value(trace.get("terms_used")), _csv_value(trace.get("evaluations")),
             _csv_value(trace.get("tail_estimate")), _csv_value(trace.get("est_error")),
+            _csv_value(trace.get("converged")),
         ])
     return buffer.getvalue()
 

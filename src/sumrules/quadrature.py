@@ -112,7 +112,7 @@ def integrate_interval(
         panels += 1
 
     # roundoff floor: summing len(heap) panel values cannot beat this
-    est = max(est, 4.0 * np.finfo(float).eps * abs_acc)
+    est = max(est, 4.0 * float(np.finfo(float).eps) * abs_acc)
     return QuadratureResult(
         value=value,
         est_error=est,

@@ -355,6 +355,11 @@ def removed_term_sum_limit(
 
 # -- brute-force summation ---------------------------------------------------
 
+# Chunks double the summed total: 1024, 1024, 2048, ... 32768 terms, then
+# _CHUNK per chunk, so a sum that settles early pays for at most twice the
+# terms it needed, and every chunk ends on the 1, 2, 4, ... checkpoint grid
+# (multiples of _CHUNK past it).
+_CHUNK_FLOOR = 1024
 _CHUNK = 65536
 
 
@@ -443,11 +448,15 @@ def brute_sum(
     """Direct partial summation of sum_k k^(2w) / (k^2 - z^2)^p.
 
     Runs over the chosen lattice (skipping `exclude` if given), in numpy
-    chunks, until the last term and the post-correction tail residual
-    both drop below tol relative to the running value or `max_terms`
-    is hit.  The returned value includes a midpoint-integral tail
-    correction; `tail_estimate` bounds what that correction can still
-    be missing.
+    chunks that double the summed total from _CHUNK_FLOOR terms up to
+    _CHUNK terms each, until the last term and the post-correction tail
+    residual both drop below tol relative to the running value or
+    `max_terms` is hit.  The scan also stops, unconverged, once the last
+    term and the truncation part of the residual are below tol but the
+    roundoff allowance alone keeps the residual above it: that allowance
+    only grows with more terms, so none could converge.  The returned
+    value includes a midpoint-integral tail correction; `tail_estimate`
+    bounds what that correction can still be missing.
     """
     if p < 1 or not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise InvalidSpecError(f"p must be a positive integer, got {p!r}")
@@ -479,7 +488,6 @@ def brute_sum(
     last_term = math.inf
     converged = False
     k_next = start
-    first_chunk = True
     eps = float(np.finfo(float).eps)
 
     def roundoff() -> float:
@@ -489,10 +497,10 @@ def brute_sum(
         return (32.0 + chunks) * eps * abs_total
 
     while terms_used < max_terms:
-        count = min(_CHUNK, max_terms - terms_used)
+        count = min(_CHUNK, max(_CHUNK_FLOOR, terms_used), max_terms - terms_used)
         k = k_next + step * np.arange(count, dtype=float)
         values = _term_chunk(k, p, z2, weight_k2, exclude)
-        if first_chunk:
+        if terms_used == 0:
             # fine-grained checkpoints inside the first chunk
             partial = np.cumsum(values)
             for idx in checkpoint_indices(count):
@@ -500,7 +508,6 @@ def brute_sum(
                 checkpoint_terms.append(idx)
             total += float(np.sum(values))
             checkpoints[-1] = total
-            first_chunk = False
         else:
             total += float(np.sum(values))
             checkpoints.append(total)
@@ -519,10 +526,11 @@ def brute_sum(
             residual = trunc + 2.0 * derivative_allowance + roundoff()
             correction = integral / step
             value = total + correction
-            term_ok = last_term <= tol * max(abs(value), REL_ERR_FLOOR)
-            tail_ok = residual <= tol * max(abs(value), REL_ERR_FLOOR)
-            if term_ok and tail_ok:
-                converged = True
+            bound = tol * max(abs(value), REL_ERR_FLOOR)
+            if last_term <= bound and trunc + 2.0 * derivative_allowance <= bound:
+                # only roundoff() can still hold the residual over the
+                # bound, and it grows with every chunk: stop either way
+                converged = residual <= bound
                 break
 
     X = (k_next - step) + step / 2.0

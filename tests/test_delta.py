@@ -50,20 +50,20 @@ def test_bound_state_kink():
 
 
 def test_continuum_energies():
-    assert delta.energy_continuum(2.0) == pytest.approx(2.0, rel=1e-15)
-    assert delta.energy_gap(1.0) == pytest.approx(1.0, rel=1e-15)
+    assert delta.energy_continuum(2.0) == pytest.approx(2.0, rel=1e-15, abs=0)
+    assert delta.energy_gap(1.0) == pytest.approx(1.0, rel=1e-15, abs=0)
     gaps = delta.energy_gap(np.array([1.0, 3.0]))
     assert gaps == pytest.approx([1.0, 5.0])
 
 
 def test_continuum_state_values():
     assert delta.psi_continuum(Parity.EVEN, 1.0, 0.0) == pytest.approx(
-        -1.0 / math.sqrt(2.0 * PI), rel=1e-15
+        -1.0 / math.sqrt(2.0 * PI), rel=1e-15, abs=0
     )
     assert delta.psi_continuum(Parity.ODD, 1.0, 0.0) == 0.0
     # odd states are plain sine waves, blind to the potential
     assert delta.psi_continuum(Parity.ODD, 2.0, 0.7) == pytest.approx(
-        math.sin(1.4) / math.sqrt(PI), rel=1e-15
+        math.sin(1.4) / math.sqrt(PI), rel=1e-15, abs=0
     )
 
 
@@ -97,7 +97,7 @@ def test_even_continuum_orthogonal_to_bound():
 
 
 def test_x_me_bound_frozen_and_vs_quadrature():
-    assert delta.x_me_bound(1.0) == pytest.approx(1.0 / math.sqrt(PI), rel=1e-15)
+    assert delta.x_me_bound(1.0) == pytest.approx(1.0 / math.sqrt(PI), rel=1e-15, abs=0)
     for k in K_GRID:
         assert delta.x_me_bound(k) == pytest.approx(
             overlap(k, Parity.ODD, lambda x: x), abs=1e-10
@@ -106,7 +106,7 @@ def test_x_me_bound_frozen_and_vs_quadrature():
 
 def test_x2_me_bound_frozen_and_vs_quadrature():
     assert delta.x2_me_bound(1.0) == pytest.approx(
-        2.0 / math.sqrt(2.0 * PI), rel=1e-15
+        2.0 / math.sqrt(2.0 * PI), rel=1e-15, abs=0
     )
     for k in K_GRID:
         assert delta.x2_me_bound(k) == pytest.approx(
@@ -124,10 +124,10 @@ def test_parity_selection_by_quadrature():
 def test_bethe_me_frozen_values():
     # D = ((k+q)^2+1)((k-q)^2+1) is 5 * 1 at k = q = 1
     assert delta.bethe_me(Parity.ODD, 1.0, 1.0) == pytest.approx(
-        (4.0 / 5.0) / math.sqrt(PI), rel=1e-15
+        (4.0 / 5.0) / math.sqrt(PI), rel=1e-15, abs=0
     )
     assert delta.bethe_me(Parity.EVEN, 1.0, 1.0) == pytest.approx(
-        math.sqrt(4.0 / (2.0 * PI)) * (-2.0 / 5.0), rel=1e-15
+        math.sqrt(4.0 / (2.0 * PI)) * (-2.0 / 5.0), rel=1e-15, abs=0
     )
 
 
@@ -146,7 +146,7 @@ def test_oscillator_density_integrates_to_one():
     for k in (0.5, 1.0):
         expected = 2.0 * delta.energy_gap(k) * delta.x_me_bound(k) ** 2
         assert delta.oscillator_strength_density(k) == pytest.approx(
-            expected, rel=1e-14
+            expected, rel=1e-14, abs=0
         )
     total = integrate_semi_inf(delta.oscillator_strength_density, tol=1e-12)
     assert total.value == pytest.approx(1.0, rel=1e-12)

@@ -66,11 +66,11 @@ def test_spec_validation():
 
 def test_analytic_rhs_values():
     assert analytic_rhs(CLOSURE, ModelKind.ISW) == pytest.approx(
-        1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-15
+        1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-15, abs=0
     )
     assert analytic_rhs(TRK, ModelKind.ISW) == 0.5
     assert analytic_rhs(MONOPOLE, ModelKind.ISW) == pytest.approx(
-        2.0 * (1.0 / 3.0 - 1.0 / (2.0 * PI**2)), rel=1e-15
+        2.0 * (1.0 / 3.0 - 1.0 / (2.0 * PI**2)), rel=1e-15, abs=0
     )
     assert analytic_rhs(CLOSURE, ModelKind.DELTA) == 0.5
     assert analytic_rhs(TRK, ModelKind.DELTA) == 0.5
@@ -82,10 +82,10 @@ def test_analytic_rhs_values():
 
 
 def test_half_line_moment_frozen_values():
-    assert half_line_moment(1, 3) == pytest.approx(PI / 16.0, rel=1e-15)
-    assert half_line_moment(1, 4) == pytest.approx(PI / 32.0, rel=1e-15)
-    assert half_line_moment(1, 5) == pytest.approx(5.0 * PI / 256.0, rel=1e-15)
-    assert half_line_moment(0, 1) == pytest.approx(PI / 2.0, rel=1e-15)
+    assert half_line_moment(1, 3) == pytest.approx(PI / 16.0, rel=1e-15, abs=0)
+    assert half_line_moment(1, 4) == pytest.approx(PI / 32.0, rel=1e-15, abs=0)
+    assert half_line_moment(1, 5) == pytest.approx(5.0 * PI / 256.0, rel=1e-15, abs=0)
+    assert half_line_moment(0, 1) == pytest.approx(PI / 2.0, rel=1e-15, abs=0)
     with pytest.raises(InvalidSpecError):
         half_line_moment(1, 1)  # divergent
     with pytest.raises(InvalidSpecError):
@@ -94,12 +94,12 @@ def test_half_line_moment_frozen_values():
 
 def test_lhs_isw_examples():
     paths = lhs_isw(CLOSURE, n=1)
-    assert paths.closed == pytest.approx(1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-14)
+    assert paths.closed == pytest.approx(1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-14, abs=0)
     paths = lhs_isw(TRK, n=2)
-    assert paths.closed == pytest.approx(0.5, rel=1e-14)
+    assert paths.closed == pytest.approx(0.5, rel=1e-14, abs=0)
     paths = lhs_isw(MONOPOLE, n=1)
     assert paths.closed == pytest.approx(
-        2.0 * (1.0 / 3.0 - 1.0 / (2.0 * PI**2)), rel=1e-13
+        2.0 * (1.0 / 3.0 - 1.0 / (2.0 * PI**2)), rel=1e-13, abs=0
     )
     assert paths.components is None
 
@@ -117,13 +117,13 @@ def test_lhs_isw_rejects_bethe():
 
 
 def test_lhs_delta_examples():
-    assert lhs_delta(CLOSURE).closed == pytest.approx(0.5, rel=1e-14)
+    assert lhs_delta(CLOSURE).closed == pytest.approx(0.5, rel=1e-14, abs=0)
     assert lhs_delta(MONOPOLE).brute == pytest.approx(1.0, rel=1e-11)
     paths = lhs_delta(spec_for("bethe", q=1.0))
     assert paths.components is not None
-    assert paths.components.odd_closed == pytest.approx(0.375, rel=1e-13)
-    assert paths.components.even_closed == pytest.approx(0.125, rel=1e-13)
-    assert paths.closed == pytest.approx(0.5, rel=1e-12)
+    assert paths.components.odd_closed == pytest.approx(0.375, rel=1e-13, abs=0)
+    assert paths.components.even_closed == pytest.approx(0.125, rel=1e-13, abs=0)
+    assert paths.closed == pytest.approx(0.5, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("rule", ["closure", "trk", "monopole"])
@@ -171,14 +171,22 @@ def test_bethe_split(q):
     parts = bethe_components(q)
     target = 0.5 * q * q
     # closed channel split is exact algebra
-    assert parts.total_closed == pytest.approx(target, rel=1e-12)
+    assert parts.total_closed == pytest.approx(target, rel=1e-12, abs=0)
     assert parts.total_residue == pytest.approx(target, rel=1e-9)
     assert parts.total_quadrature == pytest.approx(target, rel=1e-9)
     # channels individually match their closed forms
     assert parts.odd_residue == pytest.approx(parts.odd_closed, rel=1e-9)
-    assert parts.even_residue == pytest.approx(parts.even_closed, rel=1e-9)
+    assert parts.even_residue == pytest.approx(parts.even_closed, rel=1e-9, abs=0)
     assert parts.odd_quadrature == pytest.approx(parts.odd_closed, rel=1e-9)
-    assert parts.even_quadrature == pytest.approx(parts.even_closed, rel=1e-9)
+    assert parts.even_quadrature == pytest.approx(parts.even_closed, rel=1e-9, abs=0)
+
+
+def test_bethe_quadrature_inside_est_error():
+    for j in range(40):
+        q = 0.01 * 20000.0 ** (j / 39)  # log grid over [0.01, 200]
+        parts = bethe_components(q)
+        assert abs(parts.odd_quadrature - parts.odd_closed) <= parts.odd_trace.est_error
+        assert abs(parts.even_quadrature - parts.even_closed) <= parts.even_trace.est_error
 
 
 def test_bethe_small_q_limits():
@@ -219,7 +227,7 @@ def test_diagonal_handling():
     direct = sum(isw.x_me(n, k) ** 2 for k in range(1, 400))
     assert direct == pytest.approx(analytic_rhs(spec_for("closure", n=n), ModelKind.ISW), rel=1e-9)
     # strip the diagonal and the sum falls short by exactly (1/2)^2
-    assert direct - isw.x_me(n, n) ** 2 == pytest.approx(direct - 0.25, rel=1e-12)
+    assert direct - isw.x_me(n, n) ** 2 == pytest.approx(direct - 0.25, rel=1e-12, abs=0)
     # the k = n contribution to TRK/monopole is identically zero
     assert (isw.energy(n) - isw.energy(n)) * isw.x2_me(n, n) ** 2 == 0.0
 
@@ -229,8 +237,8 @@ def test_oscillator_strengths_isw():
     assert table.n == 1
     k2, f12 = table.entries[0]
     assert k2 == 2.0
-    assert f12 == pytest.approx(256.0 / (27.0 * PI**2), rel=1e-14)
-    assert table.sum == pytest.approx(math.fsum(f for _, f in table.entries), rel=1e-14)
+    assert f12 == pytest.approx(256.0 / (27.0 * PI**2), rel=1e-14, abs=0)
+    assert table.sum == pytest.approx(math.fsum(f for _, f in table.entries), rel=1e-14, abs=0)
     assert table.sum < 1.0
     assert 1.0 - table.sum <= table.tail_bound
 
@@ -270,7 +278,7 @@ def test_oscillator_strengths_validation():
 def test_stark_verify_isw():
     report = stark_verify(ModelKind.ISW, 1, 1.0)
     assert report.passed
-    assert report.analytic == pytest.approx(-(15.0 - PI**2) / (24.0 * PI**2), rel=1e-14)
+    assert report.analytic == pytest.approx(-(15.0 - PI**2) / (24.0 * PI**2), rel=1e-14, abs=0)
     assert report.closed.rel_err < 1e-12
     assert report.brute.rel_err < 1e-10
     assert report.rule_id == "isw.stark2"

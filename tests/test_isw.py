@@ -25,8 +25,8 @@ def integral_me(n, k, power):
 
 
 def test_energies():
-    assert isw.energy(1) == pytest.approx(PI**2 / 2, rel=1e-15)
-    assert isw.energy(3) == pytest.approx(9 * PI**2 / 2, rel=1e-15)
+    assert isw.energy(1) == pytest.approx(PI**2 / 2, rel=1e-15, abs=0)
+    assert isw.energy(3) == pytest.approx(9 * PI**2 / 2, rel=1e-15, abs=0)
 
 
 def test_psi_normalization_and_orthogonality():
@@ -41,7 +41,7 @@ def test_psi_normalization_and_orthogonality():
 
 def test_psi_nodes_and_domain():
     assert isw.psi(2, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert isw.psi(1, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+    assert isw.psi(1, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0)
     with pytest.raises(DomainError):
         isw.psi(1, -0.01)
     with pytest.raises(DomainError):
@@ -50,15 +50,15 @@ def test_psi_nodes_and_domain():
 
 def test_x_me_frozen_values():
     assert isw.x_me(1, 1) == 0.5
-    assert isw.x_me(1, 2) == pytest.approx(-16.0 / (9.0 * PI**2), rel=1e-15)
+    assert isw.x_me(1, 2) == pytest.approx(-16.0 / (9.0 * PI**2), rel=1e-15, abs=0)
     assert isw.x_me(1, 3) == 0.0  # selection rule: n + k even vanishes
-    assert isw.x_me(2, 3) == pytest.approx(-48.0 / (25.0 * PI**2), rel=1e-15)
+    assert isw.x_me(2, 3) == pytest.approx(-48.0 / (25.0 * PI**2), rel=1e-15, abs=0)
 
 
 def test_x2_me_frozen_values():
-    assert isw.x2_me(1, 1) == pytest.approx(1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-15)
-    assert isw.x2_me(1, 3) == pytest.approx(3.0 / (8.0 * PI**2), rel=1e-15)
-    assert isw.x2_me(1, 2) == pytest.approx(-16.0 / (9.0 * PI**2), rel=1e-15)
+    assert isw.x2_me(1, 1) == pytest.approx(1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-15, abs=0)
+    assert isw.x2_me(1, 3) == pytest.approx(3.0 / (8.0 * PI**2), rel=1e-15, abs=0)
+    assert isw.x2_me(1, 2) == pytest.approx(-16.0 / (9.0 * PI**2), rel=1e-15, abs=0)
 
 
 def test_x_and_x2_coincide_on_odd_transitions():
@@ -98,7 +98,7 @@ def test_x2_never_vanishes_off_diagonal(n, k):
 
 def test_stark_second_order_values_and_signs():
     assert isw.stark_shift2(1, 1.0) == pytest.approx(
-        -(15.0 - PI**2) / (24.0 * PI**2), rel=1e-15
+        -(15.0 - PI**2) / (24.0 * PI**2), rel=1e-15, abs=0
     )
     assert isw.stark_shift2(1, 1.0) < 0
     for n in range(2, 11):
@@ -109,13 +109,13 @@ def test_stark_series_route_matches_closed_form():
     for n in range(1, 9):
         for F in (0.5, 1.0, 3.0):
             assert isw.stark_shift2_series(n, F) == pytest.approx(
-                isw.stark_shift2(n, F), rel=1e-12
+                isw.stark_shift2(n, F), rel=1e-12, abs=0
             )
 
 
 def test_stark_scales_quadratically():
     assert isw.stark_shift2(1, 2.0) == pytest.approx(
-        4.0 * isw.stark_shift2(1, 1.0), rel=1e-15
+        4.0 * isw.stark_shift2(1, 1.0), rel=1e-15, abs=0
     )
 
 

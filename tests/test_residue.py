@@ -81,15 +81,15 @@ def test_residue_index_out_of_range():
 
 def test_lorentzian_contour_is_pi():
     f = FactoredRational([1.0], [(1j, 1), (-1j, 1)])
-    assert contour_integral_uhp(f) == pytest.approx(PI, rel=1e-15)
+    assert contour_integral_uhp(f) == pytest.approx(PI, rel=1e-15, abs=0)
 
 
 def test_contour_matches_quadrature_on_known_integrals():
     # int 1/(z^2+1)^2 = pi/2; int z^2/(z^2+1)^2 = pi/2
     f2 = FactoredRational([1.0], [(1j, 2), (-1j, 2)])
-    assert contour_integral_uhp(f2) == pytest.approx(PI / 2, rel=1e-14)
+    assert contour_integral_uhp(f2) == pytest.approx(PI / 2, rel=1e-14, abs=0)
     g = FactoredRational([0.0, 0.0, 1.0], [(1j, 2), (-1j, 2)])
-    assert contour_integral_uhp(g) == pytest.approx(PI / 2, rel=1e-14)
+    assert contour_integral_uhp(g) == pytest.approx(PI / 2, rel=1e-14, abs=0)
 
 
 def test_shifted_pole_pair():
@@ -98,7 +98,7 @@ def test_shifted_pole_pair():
         f = FactoredRational(
             [1.0], [(complex(a, b), 1), (complex(a, -b), 1)]
         )
-        assert contour_integral_uhp(f) == pytest.approx(PI / b, rel=1e-13)
+        assert contour_integral_uhp(f) == pytest.approx(PI / b, rel=1e-13, abs=0)
 
 
 def test_linearity_is_exact():
@@ -107,7 +107,7 @@ def test_linearity_is_exact():
     g = FactoredRational([0.0, 0.0, 1.0], poles)
     combined = FactoredRational([2.0, 0.0, 3.0], poles)
     assert contour_integral_uhp(combined) == pytest.approx(
-        2.0 * contour_integral_uhp(f) + 3.0 * contour_integral_uhp(g), rel=1e-15
+        2.0 * contour_integral_uhp(f) + 3.0 * contour_integral_uhp(g), rel=1e-15, abs=0
     )
 
 
@@ -154,8 +154,8 @@ def test_bethe_full_line_values_at_unit_q():
     """
     odd = contour_integral_uhp(build_bethe_integrand(Parity.ODD, 1.0, 1.0))
     even = contour_integral_uhp(build_bethe_integrand(Parity.EVEN, 1.0, 1.0))
-    assert odd == pytest.approx(3.0 * PI / 32.0, rel=1e-14)
-    assert even == pytest.approx(PI / 32.0, rel=1e-14)
+    assert odd == pytest.approx(3.0 * PI / 32.0, rel=1e-14, abs=0)
+    assert even == pytest.approx(PI / 32.0, rel=1e-14, abs=0)
 
 
 # float.hex of the two channels at kappa0 = 1, frozen from the

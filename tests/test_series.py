@@ -32,7 +32,7 @@ SAFE_Z = [0.07, 0.25, 0.4, 0.61, 1.31, 2.45, 3.52, 7.63]
 
 def test_s1_at_half_is_two():
     # sum over k of 1/(k^2 - 1/4) telescopes: 2 sum (1/(2k-1) - 1/(2k+1)) = 2
-    assert sum_closed(1, 0.5) == pytest.approx(2.0, rel=1e-14)
+    assert sum_closed(1, 0.5) == pytest.approx(2.0, rel=1e-14, abs=0)
 
 
 def test_zeta_limits():
@@ -150,8 +150,8 @@ def test_weighted_k2_even_sublattice_brute(n):
     has the stated closed value."""
     trace = brute_sum(4, n, parity=Parity.EVEN, weight_k2=True, tol=1e-12)
     expected = PI**4 / (768 * n * n) - PI**2 / (128 * n**4)
-    assert trace.value == pytest.approx(expected, rel=1e-10)
-    assert weighted_k2_sum(4, n) == pytest.approx(expected, rel=1e-12)
+    assert trace.value == pytest.approx(expected, rel=1e-10, abs=0)
+    assert weighted_k2_sum(4, n) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("p", [3, 4, 5])
@@ -169,8 +169,8 @@ def test_removed_term_limit_routes_agree(n):
     closed = removed_term_limit_closed(n)
     extrapolated = removed_term_sum_limit(n)
     expected = (PI**2 / (16 * n * n)) * (1.0 / 3.0 - 1.0 / (2 * n * n * PI**2))
-    assert closed == pytest.approx(expected, rel=1e-13)
-    assert extrapolated == pytest.approx(expected, rel=1e-11)
+    assert closed == pytest.approx(expected, rel=1e-13, abs=0)
+    assert extrapolated == pytest.approx(expected, rel=1e-11, abs=0)
 
 
 def test_removed_term_brute_excluded_lattice():
@@ -232,11 +232,63 @@ def test_brute_respects_max_terms():
 
 def test_checkpoint_terms_aligns_with_partial_sums():
     for cap in (100, 70_000, 200_000):
-        trace = brute_sum(2, 0.5, max_terms=cap)
+        # tol = 0 never converges, so every sum runs to its cap
+        trace = brute_sum(1, 0.5, tol=0.0, max_terms=cap)
         terms = trace.checkpoint_terms
         assert len(terms) == len(trace.partial_sums)
-        assert terms[-1] == trace.terms_used
-        assert all(a < b for a, b in zip(terms, terms[1:]))
+        assert terms[-1] == trace.terms_used == cap
+        # powers of two up to 65 536, then multiples of 65 536, then the cap
+        grid = [2**i for i in range(17)] + list(range(2 * 65536, cap, 65536))
+        assert list(terms) == [t for t in grid if t < cap] + [cap]
+        # sum_{k <= t} 1/(k^2 - 1/4) telescopes to 4t/(2t + 1); one term
+        # more or fewer would move it by about 1/t^2
+        for t, partial in zip(terms, trace.partial_sums):
+            assert partial == pytest.approx(4 * t / (2 * t + 1), rel=1e-12, abs=0)
+
+
+def _box_lattice_sum(rule, n):
+    """(closed value, brute_sum kwargs) of the raw lattice sum behind a box rule."""
+    if rule == "monopole":
+        return removed_term_limit_closed(n), dict(
+            p=3, z=float(n), parity=Parity.ALL, weight_k2=True, exclude=n)
+    p = {"closure": 4, "trk": 3, "stark": 5}[rule]
+    return weighted_k2_sum(p, n), dict(
+        p=p, z=float(n), parity=series.opposite_parity(n), weight_k2=True)
+
+
+BOX_RULES = ("closure", "trk", "monopole", "stark")
+
+
+@pytest.mark.parametrize("rule", BOX_RULES)
+def test_box_sums_converge_within_16384_terms(rule):
+    """Chunks double from 1024 terms, so no default-tol box sum up to
+    n = 1000 pays for a full 65 536-term chunk."""
+    for n in (1, 2, 10, 100, 1000):
+        _, kwargs = _box_lattice_sum(rule, n)
+        trace = brute_sum(**kwargs)
+        assert trace.converged
+        assert trace.terms_used <= 16384
+
+
+@pytest.mark.parametrize("rule", BOX_RULES)
+def test_box_sums_stay_inside_tail_estimate(rule):
+    for n in sorted({round(10 ** (j / 6)) for j in range(25)}):  # 1 ... 1e4
+        closed, kwargs = _box_lattice_sum(rule, n)
+        trace = brute_sum(**kwargs)
+        assert abs(trace.value - closed) <= trace.tail_estimate + 4 * math.ulp(closed)
+
+
+@pytest.mark.parametrize("rule", ["trk", "monopole"])
+def test_roundoff_bound_stops_the_scan_early(rule):
+    """At n = 1e5 only the roundoff allowance on the cancelling near-pole
+    terms keeps the residual over tol; it grows with every term, so the
+    scan gives up long before the 10M-term cap, with an honest bound."""
+    n = 100_000
+    closed, kwargs = _box_lattice_sum(rule, n)
+    trace = brute_sum(**kwargs)
+    assert not trace.converged
+    assert trace.terms_used < 1_000_000
+    assert abs(trace.value - closed) <= trace.tail_estimate + 4 * math.ulp(closed)
 
 
 def test_pole_guard():
