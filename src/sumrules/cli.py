@@ -10,6 +10,9 @@ least one failed, 2 means the request itself was malformed.
 Output goes to stdout or --out as text, JSON, or CSV.  Floats are
 serialized with 17 significant digits so a parsed report reproduces
 every value bit for bit.
+
+Verify, stark and series rows are one `RuleVerification` shape (model null
+on series rows); a CSV column is the row, params or trace field of its name.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
 
 from . import engine, series
 from .core import (
@@ -29,16 +31,14 @@ from .core import (
     KMAX_ENV_VAR,
     ModelKind,
     SumRuleError,
-    TruncationTrace,
-    make_report,
 )
-from .engine import Operator, SumRuleSpec
+from .engine import Operator, RulePaths, SumRuleSpec
 from .quadrature import QuadratureResult
 from .series import Parity
 
 
 class UsageError(Exception):
-    """Bad request: wrong flag combination, empty grid, and the like."""
+    """Bad request: wrong flag combination, unparseable grid, and the like."""
 
 
 _RULE_TO_SPEC = {
@@ -68,44 +68,6 @@ _SWEEP_CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and validated request for one CLI run."""
-
-    command: str
-    model: ModelKind | None = None
-    rule: str = "all"
-    n_values: tuple[int, ...] = ()
-    q_values: tuple[float, ...] = ()
-    F: float = 1.0
-    tol: float = DEFAULT_TOL
-    kmax: int | None = None
-    fmt: str = "text"
-    out: str | None = None
-    p: int | None = None
-    z: float | None = None
-    parity: Parity = Parity.ALL
-    series_mode: str = "plain"
-
-    def __post_init__(self) -> None:
-        if self.rule == "bethe" and self.model is not ModelKind.DELTA:
-            raise UsageError("rule 'bethe' is only defined for --model delta")
-        if not math.isfinite(self.tol) or self.tol <= 0.0:
-            raise UsageError(f"--tol must be positive, got {self.tol}")
-        if self.kmax is not None and self.kmax < 1:
-            raise UsageError(f"--kmax must be >= 1, got {self.kmax}")
-        if self.command in ("verify", "stark", "sweep"):
-            if self.model is ModelKind.ISW and not self.n_values:
-                raise UsageError("empty --n grid")
-            if (
-                self.command == "verify"
-                and self.model is ModelKind.DELTA
-                and self.rule in ("bethe", "all")
-                and not self.q_values
-            ):
-                raise UsageError("empty --q grid")
-
-
 def _parse_int_grid(text: str) -> tuple[int, ...]:
     """'1..20', '5', or '1,2,7' -> ascending tuple of ints."""
     text = text.strip()
@@ -129,6 +91,21 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
     if any(not math.isfinite(v) for v in values):
         raise UsageError(f"grid {text!r} contains non-finite values")
     return values
+
+
+def _check(args: argparse.Namespace) -> None:
+    """Parse the --n and --q grids in place, then reject the requests
+    that no handler could answer."""
+    if args.n is not None:
+        args.n = _parse_int_grid(args.n)
+    if "q" in args:
+        args.q = _parse_float_grid(args.q)
+    if getattr(args, "rule", None) == "bethe" and args.model != "delta":
+        raise UsageError("rule 'bethe' is only defined for --model delta")
+    if not math.isfinite(args.tol) or args.tol <= 0.0:
+        raise UsageError(f"--tol must be positive, got {args.tol}")
+    if args.kmax is not None and args.kmax < 1:
+        raise UsageError(f"--kmax must be >= 1, got {args.kmax}")
 
 
 def _fmt_float(x: float) -> str:
@@ -170,153 +147,117 @@ def _to_json(obj, indent: int = 0) -> str:
 
 
 def _trace_dict(trace) -> dict:
-    if isinstance(trace, TruncationTrace):
-        return {"terms_used": trace.terms_used, "tail_estimate": trace.tail_estimate,
-                "converged": trace.converged}
     if isinstance(trace, QuadratureResult):
         return {"evaluations": trace.evaluations, "est_error": trace.est_error,
                 "converged": trace.converged}
-    return {}
+    return {"terms_used": trace.terms_used, "tail_estimate": trace.tail_estimate,
+            "converged": trace.converged}
 
 
-def _report_row(rule: str, model: str | None, params: dict, analytic: float,
-                closed, brute) -> dict:
+def _row(rule: str, verification: engine.RuleVerification) -> dict:
+    model = verification.model
     return {
         "rule": rule,
-        "model": model,
-        "params": params,
-        "analytic": analytic,
-        "numeric_closed": closed.numeric,
-        "numeric_brute": brute.numeric,
-        "rel_err_closed": closed.rel_err,
-        "rel_err_brute": brute.rel_err,
-        "passed": closed.passed and brute.passed,
-        "trace": _trace_dict(brute.trace),
+        "model": None if model is None else model.value,
+        "params": dict(verification.params),
+        "analytic": verification.analytic,
+        "numeric_closed": verification.closed.numeric,
+        "numeric_brute": verification.brute.numeric,
+        "rel_err_closed": verification.closed.rel_err,
+        "rel_err_brute": verification.brute.rel_err,
+        "passed": verification.passed,
+        "trace": _trace_dict(verification.brute.trace),
     }
 
 
-def _verification_row(rule: str, verification) -> dict:
-    return _report_row(
-        rule, verification.model.value, dict(verification.params),
-        verification.analytic, verification.closed, verification.brute,
-    )
-
-
-def _execute_verify(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
-    rules = [cfg.rule] if cfg.rule != "all" else (
+def _run_verify(args: argparse.Namespace) -> tuple[list[dict], list]:
+    model = ModelKind(args.model)
+    rules = [args.rule] if args.rule != "all" else (
         ["closure", "trk", "monopole"]
-        + (["bethe"] if cfg.model is ModelKind.DELTA else [])
+        + (["bethe"] if model is ModelKind.DELTA else [])
     )
     rows: list[dict] = []
-    bethe_detail: list[dict] = []
+    bethe_detail: list[engine.BetheComponents] = []
     for rule in rules:
         operator, power = _RULE_TO_SPEC[rule]
-        if cfg.model is ModelKind.ISW:
-            for n in cfg.n_values:
-                spec = SumRuleSpec(operator, power, n=n)
-                rows.append(_verification_row(
-                    rule, engine.verify(spec, cfg.model, cfg.tol, cfg.kmax)
-                ))
+        if model is ModelKind.ISW:
+            specs = [SumRuleSpec(operator, power, n=n) for n in args.n]
         elif rule == "bethe":
-            for q in cfg.q_values:
-                spec = SumRuleSpec(operator, power, q=q)
-                verification = engine.verify(spec, cfg.model, cfg.tol, cfg.kmax)
-                rows.append(_verification_row(rule, verification))
-                parts = verification.components
-                bethe_detail.append({
-                    "q": q,
-                    "B_odd": parts.odd_residue,
-                    "B_even": parts.even_residue,
-                    "total": parts.total_residue,
-                    "q^2/2": 0.5 * q * q,
-                })
+            specs = [SumRuleSpec(operator, power, q=q) for q in args.q]
         else:
-            spec = SumRuleSpec(operator, power)
-            rows.append(_verification_row(
-                rule, engine.verify(spec, cfg.model, cfg.tol, cfg.kmax)
-            ))
+            specs = [SumRuleSpec(operator, power)]
+        for spec in specs:
+            verification = engine.verify(spec, model, args.tol, args.kmax)
+            rows.append(_row(rule, verification))
+            if verification.components is not None:
+                bethe_detail.append(verification.components)
     return rows, bethe_detail
 
 
-def _execute_stark(cfg: RunConfig) -> list[dict]:
-    rows = []
-    if cfg.model is ModelKind.ISW:
-        for n in cfg.n_values:
-            rows.append(_verification_row(
-                "stark",
-                engine.stark_verify(cfg.model, n, cfg.F, tol=cfg.tol,
-                                    max_terms=cfg.kmax),
-            ))
+def _run_stark(args: argparse.Namespace) -> tuple[list[dict], list]:
+    model = ModelKind(args.model)
+    if model is ModelKind.ISW:
+        verifications = [
+            engine.stark_verify(model, n, args.F, tol=args.tol, max_terms=args.kmax)
+            for n in args.n
+        ]
     else:
-        rows.append(_verification_row(
-            "stark", engine.stark_verify(cfg.model, F=cfg.F, tol=cfg.tol)
-        ))
-    return rows
+        verifications = [engine.stark_verify(model, F=args.F, tol=args.tol)]
+    return [_row("stark", v) for v in verifications], []
 
 
-def _series_row(rule: str, params: dict, analytic: float, closed: float,
-                brute: float, trace, tol: float) -> dict:
-    return _report_row(
-        rule, None, params, analytic,
-        make_report(rule + ".closed", analytic, closed, None, tol),
-        make_report(rule + ".brute", analytic, brute, trace, tol),
-    )
-
-
-def _execute_series(cfg: RunConfig) -> list[dict]:
-    if cfg.series_mode == "removed_term":
-        if not cfg.n_values:
+def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
+    checks = []
+    if args.removed_term:
+        if not args.n:
             raise UsageError("--removed-term needs --n")
-        rows = []
-        for n in cfg.n_values:
+        for n in args.n:
             limit = series.removed_term_limit_closed(n)
             extrapolated = series.removed_term_sum_limit(n)
             trace = series.brute_sum(3, float(n), Parity.ALL, weight_k2=True,
-                                     exclude=n, tol=cfg.tol, max_terms=cfg.kmax)
-            rows.append(_series_row(
-                "series.removed_term", {"n": n},
-                limit, extrapolated, trace.value, trace, cfg.tol,
-            ))
-        return rows
-    if cfg.p is None:
+                                     exclude=n, tol=args.tol, max_terms=args.kmax)
+            checks.append(("series.removed_term", {"n": n}, limit,
+                           RulePaths(extrapolated, trace.value, trace)))
+    elif args.p is None:
         raise UsageError("series needs --p")
-    if cfg.series_mode == "weighted":
-        if not cfg.n_values:
+    elif args.weighted:
+        if not args.n:
             raise UsageError("--weighted needs --n")
-        rows = []
-        for n in cfg.n_values:
-            closed = series.weighted_k2_sum(cfg.p, n)
-            trace = series.brute_sum(cfg.p, float(n), series.opposite_parity(n),
-                                     weight_k2=True, tol=cfg.tol, max_terms=cfg.kmax)
-            rows.append(_series_row(
-                "series.weighted_k2", {"p": cfg.p, "n": n},
-                closed, closed, trace.value, trace, cfg.tol,
-            ))
-        return rows
-    if cfg.z is None:
+        for n in args.n:
+            closed = series.weighted_k2_sum(args.p, n)
+            trace = series.brute_sum(args.p, float(n), series.opposite_parity(n),
+                                     weight_k2=True, tol=args.tol, max_terms=args.kmax)
+            checks.append(("series.weighted_k2", {"p": args.p, "n": n}, closed,
+                           RulePaths(closed, trace.value, trace)))
+    elif args.z is None:
         raise UsageError("series needs --z (or --n with --weighted/--removed-term)")
-    closed = series.sum_closed(cfg.p, cfg.z, cfg.parity)
-    trace = series.brute_sum(cfg.p, cfg.z, cfg.parity, tol=cfg.tol,
-                             max_terms=cfg.kmax)
-    return [_series_row(
-        "series.sum", {"p": cfg.p, "z": cfg.z, "parity": cfg.parity.value},
-        closed, closed, trace.value, trace, cfg.tol,
-    )]
+    else:
+        parity = Parity(args.parity)
+        closed = series.sum_closed(args.p, args.z, parity)
+        trace = series.brute_sum(args.p, args.z, parity, tol=args.tol,
+                                 max_terms=args.kmax)
+        checks.append(("series.sum", {"p": args.p, "z": args.z, "parity": parity.value},
+                       closed, RulePaths(closed, trace.value, trace)))
+    rows = [
+        _row(rule, engine.verification(rule, None, params, analytic, paths, args.tol))
+        for rule, params, analytic, paths in checks
+    ]
+    return rows, []
 
 
-def _execute_sweep(cfg: RunConfig) -> list[dict]:
-    if cfg.model is not ModelKind.ISW:
+def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], list]:
+    if args.model != "isw":
         raise UsageError("sweep exports truncation traces; only --model isw has them")
-    operator, power = _RULE_TO_SPEC[cfg.rule]
+    operator, power = _RULE_TO_SPEC[args.rule]
     rows = []
-    for n in cfg.n_values:
+    for n in args.n:
         spec = SumRuleSpec(operator, power, n=n)
-        trace = engine.lhs_isw(spec, tol=cfg.tol, max_terms=cfg.kmax).trace
+        trace = engine.lhs_isw(spec, tol=args.tol, max_terms=args.kmax).trace
         # everything here is in raw lattice-sum units, before the rule's
         # matrix-element prefactor
         rows.append({
-            "rule": cfg.rule,
-            "model": cfg.model.value,
+            "rule": args.rule,
+            "model": args.model,
             "params": {"n": n},
             "passed": trace.converged,
             "trace": {
@@ -330,7 +271,7 @@ def _execute_sweep(cfg: RunConfig) -> list[dict]:
                 ],
             },
         })
-    return rows
+    return rows, []
 
 
 def _params_text(params: dict) -> str:
@@ -340,7 +281,7 @@ def _params_text(params: dict) -> str:
     )
 
 
-def _render_sweep_text(rows: list[dict]) -> str:
+def _sweep_text(rows: list[dict], detail: list) -> list[str]:
     lines = []
     for row in rows:
         trace = row["trace"]
@@ -355,22 +296,15 @@ def _render_sweep_text(rows: list[dict]) -> str:
                 f"    terms {point['terms']:>8d}  "
                 f"partial_sum {point['partial_sum']:.15e}"
             )
-    failed = sum(1 for row in rows if not row["passed"])
-    lines.append("")
-    lines.append(f"{len(rows)} checks, {failed} failed")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
-def _render_text(cfg: RunConfig, rows: list[dict], detail: list[dict]) -> str:
-    if cfg.command == "sweep":
-        return _render_sweep_text(rows)
-    lines = []
+def _table_text(rows: list[dict], detail: list[engine.BetheComponents]) -> list[str]:
     header = (
         f"{'rule':<22} {'model':<6} {'params':<14} {'analytic':>22} "
         f"{'closed':>22} {'brute':>22} {'rel_closed':>10} {'rel_brute':>10} status"
     )
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
             f"{row['rule']:<22} {row['model'] or '-':<6} "
@@ -380,20 +314,15 @@ def _render_text(cfg: RunConfig, rows: list[dict], detail: list[dict]) -> str:
             f"{'PASS' if row['passed'] else 'FAIL'}"
         )
     if detail:
-        lines.append("")
         sub = f"{'q':>8} {'B_odd':>22} {'B_even':>22} {'total':>22} {'q^2/2':>22}"
-        lines.append(sub)
-        lines.append("-" * len(sub))
-        for entry in detail:
+        lines += ["", sub, "-" * len(sub)]
+        for parts in detail:
             lines.append(
-                f"{entry['q']:>8g} {entry['B_odd']:>22.15e} "
-                f"{entry['B_even']:>22.15e} {entry['total']:>22.15e} "
-                f"{entry['q^2/2']:>22.15e}"
+                f"{parts.q:>8g} {parts.odd_residue:>22.15e} "
+                f"{parts.even_residue:>22.15e} {parts.total_residue:>22.15e} "
+                f"{0.5 * parts.q * parts.q:>22.15e}"
             )
-    failed = sum(1 for row in rows if not row["passed"])
-    lines.append("")
-    lines.append(f"{len(rows)} checks, {failed} failed")
-    return "\n".join(lines) + "\n"
+    return lines
 
 
 def _csv_value(value) -> str:
@@ -406,57 +335,17 @@ def _csv_value(value) -> str:
     return str(value)
 
 
-def _render_csv(cfg: RunConfig, rows: list[dict]) -> str:
+def _render_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if cfg.command == "sweep":
-        writer.writerow(_SWEEP_CSV_COLUMNS)
-        for row in rows:
-            for point in row["trace"]["checkpoints"]:
-                writer.writerow([
-                    row["rule"], row["model"], _csv_value(row["params"].get("n")),
-                    point["terms"], _csv_value(point["partial_sum"]),
-                    _csv_value(row["trace"]["value"]),
-                    _csv_value(row["trace"]["tail_estimate"]),
-                    _csv_value(row["trace"]["converged"]),
-                ])
-        return buffer.getvalue()
-    if cfg.command == "series":
-        writer.writerow(_SERIES_CSV_COLUMNS)
-        for row in rows:
-            params, trace = row["params"], row["trace"]
-            writer.writerow([
-                row["rule"], _csv_value(params.get("p")), _csv_value(params.get("n")),
-                _csv_value(params.get("z")), _csv_value(params.get("parity")),
-                _csv_value(row["analytic"]), _csv_value(row["numeric_closed"]),
-                _csv_value(row["numeric_brute"]), _csv_value(row["rel_err_closed"]),
-                _csv_value(row["rel_err_brute"]), _csv_value(row["passed"]),
-                _csv_value(trace.get("terms_used")), _csv_value(trace.get("tail_estimate")),
-                _csv_value(trace.get("converged")),
-            ])
-        return buffer.getvalue()
-    writer.writerow(_VERIFY_CSV_COLUMNS)
+    writer.writerow(columns)
     for row in rows:
-        params, trace = row["params"], row["trace"]
-        writer.writerow([
-            row["rule"], row["model"], _csv_value(params.get("n")),
-            _csv_value(params.get("q")), _csv_value(params.get("F")),
-            _csv_value(row["analytic"]), _csv_value(row["numeric_closed"]),
-            _csv_value(row["numeric_brute"]), _csv_value(row["rel_err_closed"]),
-            _csv_value(row["rel_err_brute"]), _csv_value(row["passed"]),
-            _csv_value(trace.get("terms_used")), _csv_value(trace.get("evaluations")),
-            _csv_value(trace.get("tail_estimate")), _csv_value(trace.get("est_error")),
-            _csv_value(trace.get("converged")),
-        ])
+        fields = {**row, **row["params"], **row["trace"]}
+        # a sweep row is one line per checkpoint, each with the final value
+        for point in fields.get("checkpoints", ({},)):
+            cells = {**fields, **point, "final_value": fields.get("value")}
+            writer.writerow([_csv_value(cells.get(name)) for name in columns])
     return buffer.getvalue()
-
-
-def _render(cfg: RunConfig, rows: list[dict], detail: list[dict]) -> str:
-    if cfg.fmt == "json":
-        return _to_json(rows) + "\n"
-    if cfg.fmt == "csv":
-        return _render_csv(cfg, rows)
-    return _render_text(cfg, rows, detail)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,6 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verify quantum sum rules two independent ways.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_subcommand(name, run, columns, text, **kwargs) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, epilog="CSV columns: " + ",".join(columns), **kwargs)
+        sp.set_defaults(run=run, columns=columns, text=text)
+        return sp
 
     def add_common(sp: argparse.ArgumentParser) -> None:
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
@@ -475,10 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                         default="text", help="output format")
         sp.add_argument("--out", default=None, help="write output to this file")
 
-    sp = sub.add_parser(
-        "verify", help="check sum rules over a grid",
-        epilog="CSV columns: " + ",".join(_VERIFY_CSV_COLUMNS),
-    )
+    sp = add_subcommand("verify", _run_verify, _VERIFY_CSV_COLUMNS, _table_text,
+                        help="check sum rules over a grid")
     sp.add_argument("--model", required=True, choices=("isw", "delta"))
     sp.add_argument("--rule", default="all",
                     choices=("closure", "trk", "monopole", "bethe", "all"))
@@ -488,19 +380,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="momentum transfers for bethe: comma list")
     add_common(sp)
 
-    sp = sub.add_parser(
-        "stark", help="second-order Stark shifts, both routes",
-        epilog="CSV columns: " + ",".join(_VERIFY_CSV_COLUMNS),
-    )
+    sp = add_subcommand("stark", _run_stark, _VERIFY_CSV_COLUMNS, _table_text,
+                        help="second-order Stark shifts, both routes")
     sp.add_argument("--model", required=True, choices=("isw", "delta"))
     sp.add_argument("--n", default="1..6")
     sp.add_argument("--F", type=float, default=1.0, help="field strength")
     add_common(sp)
 
-    sp = sub.add_parser(
-        "series", help="evaluate lattice sums directly",
-        epilog="CSV columns: " + ",".join(_SERIES_CSV_COLUMNS),
-    )
+    sp = add_subcommand("series", _run_series, _SERIES_CSV_COLUMNS, _table_text,
+                        help="evaluate lattice sums directly")
     sp.add_argument("--p", type=int, default=None, help="power of 1/(k^2-z^2)")
     sp.add_argument("--z", type=float, default=None)
     sp.add_argument("--n", default=None, help="integer lattice point(s)")
@@ -512,10 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                          "limit formula vs extrapolation vs brute")
     add_common(sp)
 
-    sp = sub.add_parser(
-        "sweep", help="export brute-force convergence traces",
-        epilog="CSV columns: " + ",".join(_SWEEP_CSV_COLUMNS),
-    )
+    sp = add_subcommand("sweep", _run_sweep, _SWEEP_CSV_COLUMNS, _sweep_text,
+                        help="export brute-force convergence traces")
     sp.add_argument("--model", required=True, choices=("isw", "delta"))
     sp.add_argument("--rule", default="trk", choices=("closure", "trk", "monopole"))
     sp.add_argument("--n", default="1..4")
@@ -523,69 +409,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    model = None
-    if getattr(args, "model", None) is not None:
-        model = ModelKind(args.model)
-    n_values: tuple[int, ...] = ()
-    if getattr(args, "n", None) is not None:
-        n_values = _parse_int_grid(args.n)
-    q_values: tuple[float, ...] = ()
-    if getattr(args, "q", None) is not None:
-        q_values = _parse_float_grid(args.q)
-    series_mode = "plain"
-    if getattr(args, "removed_term", False):
-        series_mode = "removed_term"
-    elif getattr(args, "weighted", False):
-        series_mode = "weighted"
-    return RunConfig(
-        command=args.command,
-        model=model,
-        rule=getattr(args, "rule", "all"),
-        n_values=n_values,
-        q_values=q_values,
-        F=getattr(args, "F", 1.0),
-        tol=args.tol,
-        kmax=args.kmax,
-        fmt=args.fmt,
-        out=args.out,
-        p=getattr(args, "p", None),
-        z=getattr(args, "z", None),
-        parity=Parity(getattr(args, "parity", "all")),
-        series_mode=series_mode,
-    )
-
-
-def _execute(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
-    if cfg.command == "verify":
-        return _execute_verify(cfg)
-    if cfg.command == "stark":
-        return _execute_stark(cfg), []
-    if cfg.command == "series":
-        return _execute_series(cfg), []
-    return _execute_sweep(cfg), []
+_PARSER = build_parser()
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        rows, detail = _execute(cfg)
+        _check(args)
+        rows, detail = args.run(args)
     except (UsageError, InvalidSpecError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SumRuleError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
-    text = _render(cfg, rows, detail)
-    if cfg.out is None:
+    if args.fmt == "json":
+        text = _to_json(rows) + "\n"
+    elif args.fmt == "csv":
+        text = _render_csv(args.columns, rows)
+    else:
+        failed = sum(1 for row in rows if not row["passed"])
+        lines = args.text(rows, detail) + ["", f"{len(rows)} checks, {failed} failed"]
+        text = "\n".join(lines) + "\n"
+    if args.out is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(cfg.out, "w", encoding="utf-8") as handle:
+            with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)
         except OSError as exc:
-            print(f"error: cannot write {cfg.out}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
             return 2
     return 0 if all(row["passed"] for row in rows) else 1

@@ -101,7 +101,6 @@ class TruncationTrace:
     partial_sums: tuple[float, ...]
     checkpoint_terms: tuple[int, ...]
     terms_used: int
-    last_term: float
     tail_estimate: float
     converged: bool
 

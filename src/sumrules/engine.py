@@ -95,12 +95,14 @@ class SumRuleSpec:
 
 @dataclass(frozen=True)
 class RuleVerification:
-    """Both routes for one rule or Stark shift, plus the analytic target
-    they chase.  `components` carries the Bethe parity split the routes
-    were built from; it is None for every other check."""
+    """Both routes for one rule, Stark shift or lattice sum, plus the
+    analytic target they chase.  `model` is None for a bare lattice sum,
+    which belongs to neither model.  `components` carries the Bethe
+    parity split the routes were built from; it is None for every other
+    check."""
 
     rule_id: str
-    model: ModelKind
+    model: ModelKind | None
     params: Mapping[str, float]
     analytic: float
     closed: VerificationReport
@@ -260,6 +262,23 @@ class RulePaths:
     components: BetheComponents | None = None
 
 
+def box_lattice_sum(rule: str, n: int) -> tuple[float, dict]:
+    """The raw lattice sum behind box rule `rule` ("closure", "trk" or
+    "monopole") at state n: its closed value, and the `series.brute_sum`
+    arguments that sum it term by term.
+    """
+    if rule in ("closure", "trk"):
+        p = 4 if rule == "closure" else 3
+        return series.weighted_k2_sum(p, n), dict(
+            p=p, z=n, parity=series.opposite_parity(n), weight_k2=True
+        )
+    # monopole: x^2 couples to every k, so the sum runs over the full
+    # lattice with the k = n term struck out.
+    return series.removed_term_limit_closed(n), dict(
+        p=3, z=n, parity=Parity.ALL, weight_k2=True, exclude=n
+    )
+
+
 def lhs_isw(
     spec: SumRuleSpec,
     n: int | None = None,
@@ -276,31 +295,15 @@ def lhs_isw(
     if n is not None and n != spec.n:
         spec = SumRuleSpec(spec.operator, spec.power, n, spec.q)
     n = spec.n
-    rule = spec.rule_name
-    opp = series.opposite_parity(n)
-    if rule == "closure":
+    closed, brute_args = box_lattice_sum(spec.rule_name, n)
+    trace = series.brute_sum(**brute_args, tol=tol, max_terms=max_terms)
+    if spec.rule_name == "closure":
         prefactor = 64.0 * n * n / _PI**4
-        closed = 0.25 + prefactor * series.weighted_k2_sum(4, n)
-        trace = series.brute_sum(
-            4, n, parity=opp, weight_k2=True, tol=tol, max_terms=max_terms
+        return RulePaths(
+            0.25 + prefactor * closed, 0.25 + prefactor * trace.value, trace
         )
-        return RulePaths(closed, 0.25 + prefactor * trace.value, trace)
-    if rule == "trk":
-        prefactor = 32.0 * n * n / _PI**2
-        closed = prefactor * series.weighted_k2_sum(3, n)
-        trace = series.brute_sum(
-            3, n, parity=opp, weight_k2=True, tol=tol, max_terms=max_terms
-        )
-        return RulePaths(closed, prefactor * trace.value, trace)
-    # monopole: x^2 couples to every k, so the sum runs over the full
-    # lattice with the k = n term struck out.
     prefactor = 32.0 * n * n / _PI**2
-    closed = prefactor * series.removed_term_limit_closed(n)
-    trace = series.brute_sum(
-        3, n, parity=Parity.ALL, weight_k2=True, exclude=n,
-        tol=tol, max_terms=max_terms,
-    )
-    return RulePaths(closed, prefactor * trace.value, trace)
+    return RulePaths(prefactor * closed, prefactor * trace.value, trace)
 
 
 def lhs_delta(spec: SumRuleSpec, tol: float = DEFAULT_TOL) -> RulePaths:
@@ -339,14 +342,15 @@ def lhs_delta(spec: SumRuleSpec, tol: float = DEFAULT_TOL) -> RulePaths:
     return RulePaths(parts.total_residue, parts.total_quadrature, trace, parts)
 
 
-def _verification(
+def verification(
     rule_id: str,
-    model: ModelKind,
+    model: ModelKind | None,
     params: dict[str, float],
     analytic: float,
     paths: RulePaths,
     tol: float,
 ) -> RuleVerification:
+    """Compare both routes in `paths` with `analytic` at relative `tol`."""
     closed = make_report(rule_id + ".closed", analytic, paths.closed, None, tol)
     brute = make_report(rule_id + ".brute", analytic, paths.brute, paths.trace, tol)
     return RuleVerification(
@@ -378,7 +382,7 @@ def verify(
         paths = lhs_delta(spec, tol=tol)
         params = {"q": spec.q} if spec.operator is Operator.EXP_IQX else {}
     rule_id = f"{model.value}.{spec.rule_name}"
-    return _verification(rule_id, model, params, analytic, paths, tol)
+    return verification(rule_id, model, params, analytic, paths, tol)
 
 
 @dataclass(frozen=True)
@@ -481,6 +485,6 @@ def stark_verify(
         rule_id = "delta.stark2"
     else:
         raise InvalidSpecError(f"model must be a ModelKind, got {model!r}")
-    return _verification(
+    return verification(
         rule_id, model, params, analytic, RulePaths(closed, brute, trace), tol
     )

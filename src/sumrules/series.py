@@ -543,7 +543,6 @@ def brute_sum(
         partial_sums=tuple(checkpoints),
         checkpoint_terms=tuple(checkpoint_terms),
         terms_used=terms_used,
-        last_term=last_term,
         tail_estimate=residual,
         converged=converged,
     )

@@ -265,6 +265,45 @@ def test_sweep_csv_one_row_per_checkpoint(capsys):
     assert len(finals) == 1
 
 
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--model", "isw", "--n", "1,2"],
+    ["verify", "--model", "delta", "--q", "0.5,2"],
+    ["stark", "--model", "isw", "--n", "1,3"],
+    ["stark", "--model", "delta", "--F", "0.25"],
+    ["series", "--p", "3", "--z", "1.4", "--parity", "even"],
+    ["series", "--p", "4", "--n", "1,3", "--weighted"],
+    ["series", "--n", "2,3", "--removed-term"],
+    ["sweep", "--model", "isw", "--rule", "trk", "--n", "1,2"],
+], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+def test_csv_cells_match_json_fields(capsys, argv):
+    """Each CSV cell is the JSON field of the same name (row, params or
+    trace; a sweep line per checkpoint, final_value = trace.value)."""
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    expected = []
+    for row in json.loads(out):
+        fields = {**row, **row["params"], **row["trace"]}
+        for point in row["trace"].get("checkpoints", [{}]):
+            expected.append({**fields, **point, "final_value": fields.get("value")})
+
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    table = list(csv.reader(io.StringIO(out)))
+    assert len(table) == 1 + len(expected)
+    for line, fields in zip(table[1:], expected):
+        assert line == [_csv_cell(fields.get(name)) for name in table[0]]
+
+
 # ----------------------------------------------------------------- subcommands
 
 
@@ -384,6 +423,25 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "cannot write" in err
+
+
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    verify = ("verify", "--model", "isw", "--n", "1")
+    plain_series = ("series", "--p", "3", "--z", "1.4")
+    first = {argv: run_cli(capsys, *argv) for argv in (verify, plain_series)}
+    assert all(code == 0 for code, _, _ in first.values())
+    # the parser is built once at import, not once per call
+    monkeypatch.setattr(cli, "build_parser", None)
+
+    run_cli(capsys, "sweep", "--model", "isw", "--n", "1")
+    again = run_cli(capsys, *verify)
+    assert again == first[verify]
+    # --rule falls back to verify's own default "all", not sweep's "trk"
+    assert "3 checks, 0 failed" in again[1]
+
+    target = tmp_path / "report.txt"
+    assert run_cli(capsys, *verify, "--out", str(target))[1] == ""
+    assert run_cli(capsys, *plain_series) == first[plain_series]
 
 
 # ------------------------------------------------------------ truncation caps

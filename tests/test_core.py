@@ -37,13 +37,13 @@ def test_report_zero_analytic_does_not_divide_by_zero():
 
 def test_truncation_trace_validation():
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (), (), 0, 0.0, 0.0, True)
+        TruncationTrace(0.0, (), (), 0, 0.0, True)
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (0.0,), (), 1, 0.0, 0.0, True)
+        TruncationTrace(0.0, (0.0,), (), 1, 0.0, True)
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (0.0,), (0,), -1, 0.0, 0.0, True)
+        TruncationTrace(0.0, (0.0,), (0,), -1, 0.0, True)
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (0.0,), (1,), 1, 0.0, -1.0, True)
+        TruncationTrace(0.0, (0.0,), (1,), 1, -1.0, True)
 
 
 def test_checkpoint_indices_schedule():
