@@ -24,18 +24,26 @@ COLUMNS = ("rule", "n", "max_terms", "value", "closed",
 # the roundoff stop fires and every ladder rung runs to its cap
 EXHAUSTIVE_TOL = 0.0
 
-RULES = ("closure", "trk", "monopole")
+# the box rules: bethe has no lattice sum
+RULES = tuple(rule for rule in engine.RULES if rule != "bethe")
+
+
+def comma_ints(text: str) -> list[int]:
+    """'1,2,5' -> [1, 2, 5]; argparse reports the ValueError raised for a
+    value that is not an integer >= 1 as a usage error."""
+    values = [int(s) for s in text.split(",")]
+    if min(values) < 1:
+        raise ValueError(f"{text!r} holds a value below 1")
+    return values
 
 
 def run(args: argparse.Namespace) -> int:
-    n_values = [int(s) for s in args.n.split(",")]
-    caps = [int(s) for s in args.caps.split(",")]
     rows = []
     violations = 0
     for rule in RULES:
-        for n in n_values:
+        for n in args.n:
             closed, brute_args = engine.box_lattice_sum(rule, n)
-            for cap in caps:
+            for cap in args.caps:
                 trace = series.brute_sum(tol=EXHAUSTIVE_TOL, max_terms=cap,
                                          **brute_args)
                 err = abs(trace.value - closed)
@@ -65,9 +73,9 @@ def run(args: argparse.Namespace) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--n", default="1,2,5,10",
+    parser.add_argument("--n", type=comma_ints, default="1,2,5,10",
                         help="comma list of quantum numbers")
-    parser.add_argument("--caps", default="100,1000,10000,100000",
+    parser.add_argument("--caps", type=comma_ints, default="100,1000,10000,100000",
                         help="comma list of truncation caps")
     parser.add_argument("--out", default=None)
     return run(parser.parse_args())

@@ -22,7 +22,6 @@ from .core import (
 )
 from .engine import (
     BetheComponents,
-    Operator,
     OscillatorStrengthTable,
     RulePaths,
     RuleVerification,
@@ -48,7 +47,6 @@ __all__ = [
     "InconsistencyError",
     "InvalidSpecError",
     "ModelKind",
-    "Operator",
     "OscillatorStrengthTable",
     "Parity",
     "PoleError",

@@ -32,7 +32,7 @@ from .core import (
     ModelKind,
     SumRuleError,
 )
-from .engine import Operator, RulePaths, SumRuleSpec
+from .engine import RulePaths, SumRuleSpec
 from .quadrature import QuadratureResult
 from .series import Parity
 
@@ -41,13 +41,10 @@ class UsageError(Exception):
     """Bad request: wrong flag combination, unparseable grid, and the like."""
 
 
-_RULE_TO_SPEC = {
-    "closure": (Operator.X, 0),
-    "trk": (Operator.X, 1),
-    "monopole": (Operator.X2, 1),
-    "bethe": (Operator.EXP_IQX, 1),
-}
-_DEFAULT_N = "1..10"
+_BOX_RULES = tuple(rule for rule in engine.RULES if rule != "bethe")
+# --n and --q default to None, so that _check can tell a flag given from
+# one left out; these grids stand in for a left-out one
+_DEFAULT_N = {"verify": "1..10", "stark": "1..6", "sweep": "1..4"}
 _DEFAULT_Q = "0.1,0.5,1,2,5,10"
 
 _VERIFY_CSV_COLUMNS = (
@@ -93,13 +90,35 @@ def _parse_float_grid(text: str) -> tuple[float, ...]:
     return values
 
 
+def _unread_flags(args: argparse.Namespace) -> tuple[str, tuple[str, ...]]:
+    """The request `args` makes, and the flags of its command it does not read."""
+    if args.command == "series":
+        if args.removed_term:
+            return "series --removed-term", ("--p", "--z", "--parity", "--weighted")
+        if args.weighted:
+            return "series --weighted", ("--z", "--parity")
+        # without --z the handler names what is missing
+        return "series --z", ("--n",) if args.z is not None else ()
+    if args.model == "isw" or args.command == "sweep":  # sweep rejects delta itself
+        return f"{args.command} --model isw", ("--q",) if "q" in args else ()
+    # the delta well has one bound state and runs no brute sum
+    flags = ("--n", "--kmax")
+    if args.command == "verify" and args.rule not in ("bethe", "all"):
+        return f"verify --model delta --rule {args.rule}", flags + ("--q",)
+    return f"{args.command} --model delta", flags
+
+
 def _check(args: argparse.Namespace) -> None:
-    """Parse the --n and --q grids in place, then reject the requests
-    that no handler could answer."""
-    if args.n is not None:
-        args.n = _parse_int_grid(args.n)
+    """Reject a flag the request does not read, parse the --n and --q grids
+    in place, then reject the requests that no handler could answer."""
+    request, unread = _unread_flags(args)
+    for flag in unread:
+        if getattr(args, flag[2:]) not in (None, False):
+            raise UsageError(f"{request} does not read {flag}")
+    n = _DEFAULT_N.get(args.command) if args.n is None else args.n
+    args.n = None if n is None else _parse_int_grid(n)
     if "q" in args:
-        args.q = _parse_float_grid(args.q)
+        args.q = _parse_float_grid(_DEFAULT_Q if args.q is None else args.q)
     if getattr(args, "rule", None) == "bethe" and args.model != "delta":
         raise UsageError("rule 'bethe' is only defined for --model delta")
     if not math.isfinite(args.tol) or args.tol <= 0.0:
@@ -172,20 +191,17 @@ def _row(rule: str, verification: engine.RuleVerification) -> dict:
 
 def _run_verify(args: argparse.Namespace) -> tuple[list[dict], list]:
     model = ModelKind(args.model)
-    rules = [args.rule] if args.rule != "all" else (
-        ["closure", "trk", "monopole"]
-        + (["bethe"] if model is ModelKind.DELTA else [])
-    )
+    every = _BOX_RULES if model is ModelKind.ISW else engine.RULES
+    rules = every if args.rule == "all" else (args.rule,)
     rows: list[dict] = []
     bethe_detail: list[engine.BetheComponents] = []
     for rule in rules:
-        operator, power = _RULE_TO_SPEC[rule]
         if model is ModelKind.ISW:
-            specs = [SumRuleSpec(operator, power, n=n) for n in args.n]
+            specs = [SumRuleSpec(rule, n=n) for n in args.n]
         elif rule == "bethe":
-            specs = [SumRuleSpec(operator, power, q=q) for q in args.q]
+            specs = [SumRuleSpec(rule, q=q) for q in args.q]
         else:
-            specs = [SumRuleSpec(operator, power)]
+            specs = [SumRuleSpec(rule)]
         for spec in specs:
             verification = engine.verify(spec, model, args.tol, args.kmax)
             rows.append(_row(rule, verification))
@@ -232,7 +248,7 @@ def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
     elif args.z is None:
         raise UsageError("series needs --z (or --n with --weighted/--removed-term)")
     else:
-        parity = Parity(args.parity)
+        parity = Parity(args.parity or "all")
         closed = series.sum_closed(args.p, args.z, parity)
         trace = series.brute_sum(args.p, args.z, parity, tol=args.tol,
                                  max_terms=args.kmax)
@@ -248,10 +264,9 @@ def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
 def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], list]:
     if args.model != "isw":
         raise UsageError("sweep exports truncation traces; only --model isw has them")
-    operator, power = _RULE_TO_SPEC[args.rule]
     rows = []
     for n in args.n:
-        spec = SumRuleSpec(operator, power, n=n)
+        spec = SumRuleSpec(args.rule, n=n)
         trace = engine.lhs_isw(spec, tol=args.tol, max_terms=args.kmax).trace
         # everything here is in raw lattice-sum units, before the rule's
         # matrix-element prefactor
@@ -372,18 +387,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_subcommand("verify", _run_verify, _VERIFY_CSV_COLUMNS, _table_text,
                         help="check sum rules over a grid")
     sp.add_argument("--model", required=True, choices=("isw", "delta"))
-    sp.add_argument("--rule", default="all",
-                    choices=("closure", "trk", "monopole", "bethe", "all"))
-    sp.add_argument("--n", default=_DEFAULT_N,
-                    help="quantum numbers: '1..20', '3', or '1,2,7'")
-    sp.add_argument("--q", default=_DEFAULT_Q,
-                    help="momentum transfers for bethe: comma list")
+    sp.add_argument("--rule", default="all", choices=engine.RULES + ("all",))
+    sp.add_argument("--n", help="quantum numbers: '1..20', '3', or '1,2,7'")
+    sp.add_argument("--q", help="momentum transfers for bethe: comma list")
     add_common(sp)
 
     sp = add_subcommand("stark", _run_stark, _VERIFY_CSV_COLUMNS, _table_text,
                         help="second-order Stark shifts, both routes")
     sp.add_argument("--model", required=True, choices=("isw", "delta"))
-    sp.add_argument("--n", default="1..6")
+    sp.add_argument("--n")
     sp.add_argument("--F", type=float, default=1.0, help="field strength")
     add_common(sp)
 
@@ -392,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, default=None, help="power of 1/(k^2-z^2)")
     sp.add_argument("--z", type=float, default=None)
     sp.add_argument("--n", default=None, help="integer lattice point(s)")
-    sp.add_argument("--parity", choices=("all", "even", "odd"), default="all")
+    sp.add_argument("--parity", choices=("all", "even", "odd"))
     sp.add_argument("--weighted", action="store_true",
                     help="k^2-weighted opposite-parity sum at --n")
     sp.add_argument("--removed-term", action="store_true", dest="removed_term",
@@ -403,8 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add_subcommand("sweep", _run_sweep, _SWEEP_CSV_COLUMNS, _sweep_text,
                         help="export brute-force convergence traces")
     sp.add_argument("--model", required=True, choices=("isw", "delta"))
-    sp.add_argument("--rule", default="trk", choices=("closure", "trk", "monopole"))
-    sp.add_argument("--n", default="1..4")
+    sp.add_argument("--rule", default="trk", choices=_BOX_RULES)
+    sp.add_argument("--n")
     add_common(sp)
     return parser
 

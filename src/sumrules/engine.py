@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping
 
 import numpy as np
@@ -45,52 +44,32 @@ _PI = math.pi
 _CROSS_CHECK_TOL = 1e-8
 
 
-class Operator(Enum):
-    X = "x"
-    X2 = "x2"
-    EXP_IQX = "exp_iqx"
-
-
-_RULE_NAMES = {
-    (Operator.X, 0): "closure",
-    (Operator.X, 1): "trk",
-    (Operator.X2, 1): "monopole",
-    (Operator.EXP_IQX, 1): "bethe",
-}
+RULES = ("closure", "trk", "monopole", "bethe")
 
 
 @dataclass(frozen=True)
 class SumRuleSpec:
-    """One rule: sum of (E_k - E_n)^power |<n|op|k>|^2 over final states.
-
-    power 0 with X is plain closure; power 1 gives the energy-weighted
-    rules (TRK for X, monopole for X^2, Bethe for exp(iqx)).  `n` is the
-    box quantum number and is ignored by the delta well, whose initial
-    state is always the single bound level.  `q` is required by and only
-    by EXP_IQX.
+    """One rule, named by one of RULES: closure is sum_k |<n|x|k>|^2,
+    and trk, monopole and bethe weight |<n|op|k>|^2 by E_k - E_n for
+    op = x, x^2 and exp(iqx).  `n` is the box quantum number and is
+    ignored by the delta well, whose initial state is always the single
+    bound level.  `q` is required by and only by bethe.
     """
 
-    operator: Operator
-    power: int = 1
+    rule: str
     n: int = 1
     q: float | None = None
 
     def __post_init__(self) -> None:
-        if (self.operator, self.power) not in _RULE_NAMES:
-            raise InvalidSpecError(
-                f"unsupported rule: operator={self.operator}, power={self.power}"
-            )
+        if self.rule not in RULES:
+            raise InvalidSpecError(f"unknown rule {self.rule!r}; expected one of {RULES}")
         object.__setattr__(self, "n", check_state_index(self.n))
-        if self.operator is Operator.EXP_IQX:
+        if self.rule == "bethe":
             if self.q is None:
-                raise InvalidSpecError("EXP_IQX needs a momentum transfer q")
+                raise InvalidSpecError("bethe needs a momentum transfer q")
             object.__setattr__(self, "q", check_finite_positive(float(self.q), "q"))
         elif self.q is not None:
-            raise InvalidSpecError("q is only meaningful for EXP_IQX")
-
-    @property
-    def rule_name(self) -> str:
-        return _RULE_NAMES[(self.operator, self.power)]
+            raise InvalidSpecError("q is only meaningful for bethe")
 
 
 @dataclass(frozen=True)
@@ -157,24 +136,30 @@ def half_line_moment(w: int, p: int) -> float:
     return math.gamma(w + 0.5) * math.gamma(p - w - 0.5) / (2.0 * math.gamma(p))
 
 
+# Delta-well rules but bethe: analytic value, the moment (c, p) of the
+# closed route (c / pi) * half_line_moment(1, p), and the quadrature
+# integrand over k >= 0.
+_DELTA_RULES = {
+    "closure": (0.5, (16.0, 4), lambda k: delta.x_me_bound(k) ** 2),
+    "trk": (0.5, (8.0, 3), lambda k: delta.energy_gap(k) * delta.x_me_bound(k) ** 2),
+    "monopole": (
+        1.0, (32.0, 4), lambda k: delta.energy_gap(k) * delta.x2_me_bound(k) ** 2
+    ),
+}
+
+
 def analytic_rhs(spec: SumRuleSpec, model: ModelKind) -> float:
     """Right-hand side of the rule in reduced units."""
-    rule = spec.rule_name
     if model is ModelKind.ISW:
-        if rule == "closure":
-            return isw.x2_me(spec.n, spec.n)
-        if rule == "trk":
+        if spec.rule == "bethe":
+            raise InvalidSpecError("the box has no Bethe rule here; use the delta well")
+        if spec.rule == "trk":
             return 0.5
-        if rule == "monopole":
-            return 2.0 * isw.x2_me(spec.n, spec.n)
-        raise InvalidSpecError("the box has no Bethe rule here; use the delta well")
-    if rule == "closure":
-        return 0.5
-    if rule == "trk":
-        return 0.5
-    if rule == "monopole":
-        return 1.0
-    return 0.5 * spec.q * spec.q
+        x2 = isw.x2_me(spec.n, spec.n)
+        return x2 if spec.rule == "closure" else 2.0 * x2
+    if spec.rule == "bethe":
+        return 0.5 * spec.q * spec.q
+    return _DELTA_RULES[spec.rule][0]
 
 
 def bethe_component_closed(parity: Parity, q: float) -> float:
@@ -219,8 +204,7 @@ def bethe_components(q: float, tol: float = DEFAULT_TOL) -> BetheComponents:
     same channel drift apart by more than an internal guard tolerance;
     that can only mean a bug, not a hard integral.
     """
-    values = {}
-    traces = {}
+    channels = []
     for parity in (Parity.ODD, Parity.EVEN):
         res = _bethe_residue_component(parity, q)
         quad = _bethe_quadrature_component(parity, q, tol)
@@ -230,18 +214,11 @@ def bethe_components(q: float, tol: float = DEFAULT_TOL) -> BetheComponents:
                 f"Bethe {parity.value} channel at q={q}: residue {res!r} vs "
                 f"quadrature {quad.value!r} (rel dev {dev:.3e})"
             )
-        values[parity] = (bethe_component_closed(parity, q), res, quad.value)
-        traces[parity] = quad
+        channels.append((bethe_component_closed(parity, q), res, quad))
+    (odd_closed, odd_res, odd_quad), (even_closed, even_res, even_quad) = channels
     return BetheComponents(
-        q=q,
-        odd_closed=values[Parity.ODD][0],
-        even_closed=values[Parity.EVEN][0],
-        odd_residue=values[Parity.ODD][1],
-        even_residue=values[Parity.EVEN][1],
-        odd_quadrature=values[Parity.ODD][2],
-        even_quadrature=values[Parity.EVEN][2],
-        odd_trace=traces[Parity.ODD],
-        even_trace=traces[Parity.EVEN],
+        q, odd_closed, even_closed, odd_res, even_res,
+        odd_quad.value, even_quad.value, odd_quad, even_quad,
     )
 
 
@@ -280,24 +257,16 @@ def box_lattice_sum(rule: str, n: int) -> tuple[float, dict]:
 
 
 def lhs_isw(
-    spec: SumRuleSpec,
-    n: int | None = None,
-    tol: float = DEFAULT_TOL,
-    max_terms: int | None = None,
+    spec: SumRuleSpec, tol: float = DEFAULT_TOL, max_terms: int | None = None
 ) -> RulePaths:
-    """Box-rule left side along both routes, diagonal terms included.
-
-    `n` overrides the state carried by `spec` when given; the default
-    uses spec.n.  X and X2 rules only.
-    """
-    if spec.operator is Operator.EXP_IQX:
+    """Box-rule left side along both routes, diagonal terms included
+    (closure, trk and monopole)."""
+    if spec.rule == "bethe":
         raise InvalidSpecError("the box has no Bethe rule here; use the delta well")
-    if n is not None and n != spec.n:
-        spec = SumRuleSpec(spec.operator, spec.power, n, spec.q)
     n = spec.n
-    closed, brute_args = box_lattice_sum(spec.rule_name, n)
+    closed, brute_args = box_lattice_sum(spec.rule, n)
     trace = series.brute_sum(**brute_args, tol=tol, max_terms=max_terms)
-    if spec.rule_name == "closure":
+    if spec.rule == "closure":
         prefactor = 64.0 * n * n / _PI**4
         return RulePaths(
             0.25 + prefactor * closed, 0.25 + prefactor * trace.value, trace
@@ -313,24 +282,10 @@ def lhs_delta(spec: SumRuleSpec, tol: float = DEFAULT_TOL) -> RulePaths:
     rule the closed route is the residue total and `components` carries
     the parity split from all three evaluators.
     """
-    rule = spec.rule_name
-    if rule == "closure":
-        closed = (16.0 / _PI) * half_line_moment(1, 4)
-        result = quadrature.integrate_semi_inf(
-            lambda k: delta.x_me_bound(k) ** 2, tol=tol
-        )
-        return RulePaths(closed, result.value, result)
-    if rule == "trk":
-        closed = (8.0 / _PI) * half_line_moment(1, 3)
-        result = quadrature.integrate_semi_inf(
-            lambda k: delta.energy_gap(k) * delta.x_me_bound(k) ** 2, tol=tol
-        )
-        return RulePaths(closed, result.value, result)
-    if rule == "monopole":
-        closed = (32.0 / _PI) * half_line_moment(1, 4)
-        result = quadrature.integrate_semi_inf(
-            lambda k: delta.energy_gap(k) * delta.x2_me_bound(k) ** 2, tol=tol
-        )
+    if spec.rule != "bethe":
+        _, (c, p), integrand = _DELTA_RULES[spec.rule]
+        closed = (c / _PI) * half_line_moment(1, p)
+        result = quadrature.integrate_semi_inf(integrand, tol=tol)
         return RulePaths(closed, result.value, result)
     parts = bethe_components(spec.q, tol=tol)
     trace = QuadratureResult(
@@ -380,8 +335,8 @@ def verify(
         params: dict[str, float] = {"n": spec.n}
     else:
         paths = lhs_delta(spec, tol=tol)
-        params = {"q": spec.q} if spec.operator is Operator.EXP_IQX else {}
-    rule_id = f"{model.value}.{spec.rule_name}"
+        params = {"q": spec.q} if spec.rule == "bethe" else {}
+    rule_id = f"{model.value}.{spec.rule}"
     return verification(rule_id, model, params, analytic, paths, tol)
 
 
@@ -440,16 +395,16 @@ def oscillator_strengths(
 
 def stark_verify(
     model: ModelKind,
-    n_or_bound: int | str | None = None,
+    n: int | None = None,
     F: float = 1.0,
     tol: float = DEFAULT_TOL,
     max_terms: int | None = None,
 ) -> RuleVerification:
     """Compare the closed-form second-order shift with the summed one.
 
-    `n_or_bound` names the unperturbed state: a quantum number for the
-    box (default 1), and None or "bound" for the delta well, whose only
-    discrete state is the bound level.  For the box the summation route
+    `n` names the unperturbed state: a quantum number for the box
+    (default 1), and None for the delta well, whose only discrete state
+    is the bound level.  For the box the summation route
     is the k^2-weighted p = 5 lattice sum, evaluated once through the
     cotangent chain and once by brute truncation.  For the delta well
     the perturbation integral is done exactly (half-line moment) and by
@@ -459,7 +414,7 @@ def stark_verify(
     if not math.isfinite(F):
         raise InvalidSpecError(f"field strength must be finite, got {F!r}")
     if model is ModelKind.ISW:
-        n = check_state_index(1 if n_or_bound is None else n_or_bound, "box state")
+        n = check_state_index(1 if n is None else n, "box state")
         analytic = isw.stark_shift2(n, F)
         closed = isw.stark_shift2_series(n, F)
         trace = series.brute_sum(
@@ -470,10 +425,8 @@ def stark_verify(
         params: dict[str, float] = {"n": n, "F": F}
         rule_id = "isw.stark2"
     elif model is ModelKind.DELTA:
-        if n_or_bound not in (None, "bound"):
-            raise InvalidSpecError(
-                f"the delta well has one bound state; got state {n_or_bound!r}"
-            )
+        if n is not None:
+            raise InvalidSpecError(f"the delta well has one bound state; got state {n!r}")
         analytic = delta.stark_shift2_delta(F)
         closed = -F * F * 2.0 * (16.0 / _PI) * half_line_moment(1, 5)
         result = quadrature.integrate_semi_inf(

@@ -3,9 +3,9 @@
 Semi-infinite integrals are mapped through k = scale * tan(theta), which
 takes [0, inf) to [0, pi/2); the full line maps from (-pi/2, pi/2).  The
 transformed integrand is handled by an adaptive bisection loop: each
-panel carries an embedded 7/15-point Gauss-Legendre pair whose
-difference serves as the panel error estimate, and the worst panel is
-always split first.  Gauss nodes are interior, so the tan singularity at
+panel is evaluated by a 7-point and a separate 15-point Gauss-Legendre
+rule (22 evaluations, no node shared), whose difference serves as the
+panel error estimate, and the worst panel is always split first.  Gauss nodes are interior, so the tan singularity at
 the endpoint is never evaluated.
 
 Integrands must accept numpy arrays (all integrands in this package are

@@ -60,49 +60,24 @@ def _qc_div(a: _QC, b: _QC) -> _QC:
 
 
 @dataclass(frozen=True)
-class ComplexPoly:
-    """Polynomial with complex coefficients, ascending powers."""
-
-    coefficients: tuple[complex, ...]
-
-    def __init__(self, coefficients: Sequence[complex]) -> None:
-        coeffs = tuple(complex(c) for c in coefficients)
-        while len(coeffs) > 1 and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        if not coeffs:
-            coeffs = (0j,)
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def degree(self) -> int:
-        # the zero polynomial reports degree 0 here; callers treat it as trivial
-        return len(self.coefficients) - 1
-
-    def __call__(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coefficients):
-            acc = acc * z + c
-        return acc
-
-
-@dataclass(frozen=True)
 class FactoredRational:
     """Rational function numerator(z) / prod (z - z_j)^(m_j).
 
-    Poles are kept in factored form: a tuple of (location, order) with
-    pairwise distinct locations, none on the real axis.
+    The numerator is a tuple of complex coefficients in ascending
+    powers, trailing zeros trimmed.  Poles are kept in factored form: a
+    tuple of (location, order) with pairwise distinct locations, none on
+    the real axis.
     """
 
-    numerator: ComplexPoly
+    numerator: tuple[complex, ...]
     poles: tuple[tuple[complex, int], ...]
 
     def __init__(
-        self,
-        numerator: ComplexPoly | Sequence[complex],
-        poles: Sequence[tuple[complex, int]],
+        self, numerator: Sequence[complex], poles: Sequence[tuple[complex, int]]
     ) -> None:
-        if not isinstance(numerator, ComplexPoly):
-            numerator = ComplexPoly(numerator)
+        coeffs = tuple(complex(c) for c in numerator) or (0j,)
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
         cleaned = []
         for location, order in poles:
             location = complex(location)
@@ -116,15 +91,22 @@ class FactoredRational:
             for b in locations[i + 1:]:
                 if a == b:
                     raise InvalidSpecError(f"repeated pole at {a}")
-        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "numerator", coeffs)
         object.__setattr__(self, "poles", tuple(cleaned))
+
+    @property
+    def degree(self) -> int:
+        """Degree of the numerator; the zero polynomial reports 0."""
+        return len(self.numerator) - 1
 
     @property
     def total_pole_order(self) -> int:
         return sum(order for _, order in self.poles)
 
     def __call__(self, z: complex) -> complex:
-        value = self.numerator(z)
+        value = 0j
+        for c in reversed(self.numerator):
+            value = value * z + c
         for location, order in self.poles:
             value /= (z - location) ** order
         return value
@@ -152,7 +134,7 @@ def _residue_at_exact(f: FactoredRational, pole_index: int) -> _QC:
     z0 = _qc(location)
     # h(z0 + t) = N(z0 + t) prod_{j != i} (d_j + t)^(-m_j), d_j = z0 - z_j;
     # the residue is its t^(m-1) coefficient
-    series = _taylor_at([_qc(c) for c in f.numerator.coefficients], z0, order)
+    series = _taylor_at([_qc(c) for c in f.numerator], z0, order)
     for j, (other, m) in enumerate(f.poles):
         if j == pole_index:
             continue
@@ -209,9 +191,9 @@ def contour_integral_uhp(f: FactoredRational, im_tol: float = 1e-12) -> float:
     residue sum must cancel to |Im| <= im_tol * |value|; anything larger
     signals an inconsistent integrand and raises.
     """
-    if f.numerator.degree > f.total_pole_order - 2:
+    if f.degree > f.total_pole_order - 2:
         raise ArcDivergenceError(
-            f"numerator degree {f.numerator.degree} too high for pole order "
+            f"numerator degree {f.degree} too high for pole order "
             f"{f.total_pole_order}; the closing arc would not vanish"
         )
     _check_conjugate_symmetry(f)
@@ -244,9 +226,9 @@ def build_bethe_integrand(parity: Parity, q: float, kappa0: float) -> FactoredRa
     check_finite_positive(q, "q")
     check_finite_positive(kappa0, "kappa0")
     if parity is Parity.ODD:
-        numerator = ComplexPoly((0.0, 0.0, kappa0 * kappa0, 0.0, 1.0))
+        numerator = (0.0, 0.0, kappa0 * kappa0, 0.0, 1.0)
     else:
-        numerator = ComplexPoly((0.0, 0.0, 1.0))
+        numerator = (0.0, 0.0, 1.0)
     poles = (
         (complex(q, kappa0), 2),
         (complex(-q, kappa0), 2),

@@ -58,22 +58,23 @@ class Parity(Enum):
     ODD = "odd"
 
 
-def _pole_lattice_distance(z: float, parity: Parity) -> float:
-    """Distance from z to the nearest real pole of the closed form."""
-    az = abs(z)
+def _lattice(parity: Parity) -> tuple[int, int]:
+    """(first k, step) of a positive-integer lattice."""
     if parity is Parity.ALL:
-        nearest = max(1.0, round(az))
-    elif parity is Parity.EVEN:
-        nearest = max(2.0, 2.0 * round(az / 2.0))
-    else:
-        nearest = 2.0 * round((az - 1.0) / 2.0) + 1.0
-        if nearest < 1.0:
-            nearest = 1.0
-    return abs(az - nearest)
+        return 1, 1
+    if parity is Parity.EVEN:
+        return 2, 2
+    return 1, 2
+
+
+def _nearest_lattice_point(z: float, parity: Parity) -> int:
+    """The point of the lattice nearest to |z|: the nearest pole of S_p."""
+    start, step = _lattice(parity)
+    return max(start, round((abs(z) - start) / step) * step + start)
 
 
 def _guard_pole(z: float, parity: Parity) -> None:
-    if _pole_lattice_distance(z, parity) < POLE_GUARD:
+    if abs(abs(z) - _nearest_lattice_point(z, parity)) < POLE_GUARD:
         raise PoleError(
             f"z={z} is within {POLE_GUARD} of a pole of the {parity.value}-lattice sum"
         )
@@ -374,15 +375,6 @@ def checkpoint_indices(n: int) -> list[int]:
     return out
 
 
-def _lattice(parity: Parity) -> tuple[int, int]:
-    """(first k, step) of a positive-integer lattice."""
-    if parity is Parity.ALL:
-        return 1, 1
-    if parity is Parity.EVEN:
-        return 2, 2
-    return 1, 2
-
-
 def _term_chunk(
     k: np.ndarray, p: int, z2: float, weight_k2: bool, exclude: int | None
 ) -> np.ndarray:
@@ -473,11 +465,9 @@ def brute_sum(
     z2 = z * z
     az = abs(z)
     # a lattice point sitting exactly on the pole must be excluded
-    nearest = round((az - start) / step) * step + start
-    if nearest >= start and abs(az - nearest) < 1e-12 and exclude != nearest:
-        raise DomainError(
-            f"z={z} lies on the summation lattice; pass exclude={int(nearest)}"
-        )
+    nearest = _nearest_lattice_point(z, parity)
+    if abs(az - nearest) < 1e-12 and exclude != nearest:
+        raise DomainError(f"z={z} lies on the summation lattice; pass exclude={nearest}")
 
     checkpoints: list[float] = []
     checkpoint_terms: list[int] = []

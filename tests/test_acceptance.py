@@ -13,14 +13,10 @@ from contextlib import contextmanager
 
 from sumrules import cli, delta, engine, isw, series
 from sumrules.core import ModelKind
-from sumrules.engine import Operator, SumRuleSpec
+from sumrules.engine import SumRuleSpec
 from sumrules.series import Parity
 
 PI = math.pi
-
-CLOSURE = SumRuleSpec(Operator.X, 0)
-TRK = SumRuleSpec(Operator.X, 1)
-MONOPOLE = SumRuleSpec(Operator.X2, 1)
 
 
 @contextmanager
@@ -41,7 +37,7 @@ def test_criterion_01_isw_closure():
     with criterion(1, "isw closure"):
         for n in range(1, 21):
             target = 1.0 / 3.0 - 1.0 / (2.0 * n * n * PI * PI)
-            paths = engine.lhs_isw(CLOSURE, n=n, max_terms=10_000)
+            paths = engine.lhs_isw(SumRuleSpec("closure", n=n), max_terms=10_000)
             assert paths.trace.terms_used <= 10_000
             assert rel(paths.brute, target) <= 1e-9
             assert rel(paths.closed, target) <= 1e-12
@@ -55,7 +51,7 @@ def test_criterion_02_isw_trk():
         for n in range(1, 21):
             closed = (32.0 * n * n / PI**2) * series.weighted_k2_sum(3, n)
             assert rel(closed, 0.5) <= 1e-12
-            paths = engine.lhs_isw(TRK, n=n)
+            paths = engine.lhs_isw(SumRuleSpec("trk", n=n))
             prefactor = 32.0 * n * n / PI**2
             slack = 1e-13 * 0.5  # analytic side is itself a float chain
             assert abs(paths.brute - 0.5) <= (
@@ -112,8 +108,8 @@ def test_criterion_05_series_identities():
 
 def test_criterion_06_delta_rules():
     with criterion(6, "delta closure/trk/monopole"):
-        for spec, target in ((CLOSURE, 0.5), (TRK, 0.5), (MONOPOLE, 1.0)):
-            paths = engine.lhs_delta(spec)
+        for rule, target in (("closure", 0.5), ("trk", 0.5), ("monopole", 1.0)):
+            paths = engine.lhs_delta(SumRuleSpec(rule))
             assert rel(paths.brute, target) <= 1e-9
             assert rel(paths.closed, target) <= 1e-12
 
@@ -163,7 +159,7 @@ def test_criterion_10_cli(capsys):
         assert cli.main(["verify", "--model", "isw", "--rule", "monopole",
                          "--n", "3", "--format", "json"]) == 0
         rows = json.loads(capsys.readouterr().out)
-        again = engine.verify(SumRuleSpec(Operator.X2, 1, n=3), ModelKind.ISW)
+        again = engine.verify(SumRuleSpec("monopole", n=3), ModelKind.ISW)
         assert rows[0]["analytic"] == again.analytic
         assert rows[0]["numeric_closed"] == again.closed.numeric
         assert rows[0]["numeric_brute"] == again.brute.numeric

@@ -8,6 +8,7 @@ import csv
 import io
 import json
 import math
+import pathlib
 import subprocess
 import sys
 
@@ -16,7 +17,7 @@ import pytest
 from sumrules import cli, engine
 from sumrules.cli import main
 from sumrules.core import KMAX_ENV_VAR, ModelKind
-from sumrules.engine import Operator, SumRuleSpec
+from sumrules.engine import SumRuleSpec
 
 
 @pytest.fixture(autouse=True)
@@ -72,7 +73,7 @@ def test_bethe_detail_reuses_row_components(capsys, monkeypatch):
     lines = out.splitlines()
     start = next(i for i, line in enumerate(lines) if "B_odd" in line) + 2
     for line, q in zip(lines[start:start + 2], (0.5, 2.0)):
-        spec = SumRuleSpec(Operator.EXP_IQX, 1, q=q)
+        spec = SumRuleSpec("bethe", q=q)
         parts = engine.verify(spec, ModelKind.DELTA).components
         expected = [parts.odd_residue, parts.even_residue, parts.total_residue]
         assert line.split()[1:4] == [format(v, ".15e") for v in expected]
@@ -126,6 +127,31 @@ def test_unknown_choice_exits_2_via_argparse(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    ("verify --model isw --q 1,2", "--q"),
+    ("verify --model isw --q x,y", "--q"),
+    ("verify --model delta --rule trk --q 1", "--q"),
+    ("verify --model delta --n 3", "--n"),
+    ("verify --model delta --rule bethe --q 1 --kmax 5", "--kmax"),
+    ("stark --model delta --n bad", "--n"),
+    ("stark --model delta --kmax 5", "--kmax"),
+    ("series --removed-term --n 2,3 --p 7", "--p"),
+    ("series --removed-term --n 2 --z 1.5", "--z"),
+    ("series --removed-term --n 2 --parity odd", "--parity"),
+    ("series --removed-term --n 2 --weighted", "--weighted"),
+    ("series --p 3 --n 2 --weighted --z 1.5", "--z"),
+    ("series --p 3 --n 2 --weighted --parity all", "--parity"),
+    ("series --p 3 --z 1.4 --n 2", "--n"),
+])
+def test_unread_flag_is_usage_error(capsys, argv, flag):
+    """A flag the request would drop is refused, not silently ignored."""
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.rstrip().endswith(f"does not read {flag}")
+
+
 def test_n_zero_is_domain_error(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--model", "isw", "--rule", "trk", "--n", "0"
@@ -146,7 +172,7 @@ def test_json_verify_round_trips_bit_exact(capsys):
     rows = json.loads(out)
     assert len(rows) == 1
     row = rows[0]
-    report = engine.verify(SumRuleSpec(Operator.X, 1, n=2), ModelKind.ISW)
+    report = engine.verify(SumRuleSpec("trk", n=2), ModelKind.ISW)
     # 17 significant digits: parsing the output must reproduce every
     # float exactly, not approximately
     assert row["analytic"] == report.analytic
@@ -215,7 +241,7 @@ def test_verify_csv_header_and_values(capsys):
     assert first["q"] == ""
     assert first["passed"] == "true"
     # .17g text parses back to the exact double
-    report = engine.verify(SumRuleSpec(Operator.X, 1, n=1), ModelKind.ISW)
+    report = engine.verify(SumRuleSpec("trk", n=1), ModelKind.ISW)
     assert float(first["analytic"]) == report.analytic
     assert float(first["numeric_brute"]) == report.brute.numeric
     assert int(first["terms_used"]) == report.brute.trace.terms_used
@@ -489,6 +515,19 @@ def test_module_entry_point_subprocess():
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
     assert rows[0]["passed"] is True
+
+
+@pytest.mark.parametrize("argv", [["--n", "one"], ["--caps", "10,x"], ["--n", "1,0"]])
+def test_convergence_study_malformed_list_is_usage_error(argv):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "scripts/convergence_study.py", *argv],
+        capture_output=True, text=True, timeout=60, cwd=root,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: argument {argv[0]}" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_import_leaves_scipy_out():

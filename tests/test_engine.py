@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from sumrules import engine, isw
 from sumrules.core import InconsistencyError, InvalidSpecError, ModelKind
 from sumrules.engine import (
-    Operator,
     SumRuleSpec,
     analytic_rhs,
     bethe_component_closed,
@@ -26,9 +25,9 @@ from sumrules.series import Parity
 
 PI = math.pi
 
-CLOSURE = SumRuleSpec(Operator.X, 0)
-TRK = SumRuleSpec(Operator.X, 1)
-MONOPOLE = SumRuleSpec(Operator.X2, 1)
+CLOSURE = SumRuleSpec("closure")
+TRK = SumRuleSpec("trk")
+MONOPOLE = SumRuleSpec("monopole")
 
 # raw lattice tail estimates scale into rule units through these
 ISW_PREFACTOR = {
@@ -38,30 +37,22 @@ ISW_PREFACTOR = {
 }
 
 
-def spec_for(rule, n=1, q=None):
-    operator, power = {
-        "closure": (Operator.X, 0),
-        "trk": (Operator.X, 1),
-        "monopole": (Operator.X2, 1),
-        "bethe": (Operator.EXP_IQX, 1),
-    }[rule]
-    return SumRuleSpec(operator, power, n, q)
-
-
 def test_spec_validation():
+    assert engine.RULES == ("closure", "trk", "monopole", "bethe")
     with pytest.raises(InvalidSpecError):
-        SumRuleSpec(Operator.X2, 0)  # x^2 closure is out of scope
+        SumRuleSpec("quadrupole")  # unknown name
     with pytest.raises(InvalidSpecError):
-        SumRuleSpec(Operator.X, 2)
+        SumRuleSpec("all")  # a CLI choice, not a rule
     with pytest.raises(InvalidSpecError):
-        SumRuleSpec(Operator.X, 1, 0)
+        SumRuleSpec("trk", 0)
     with pytest.raises(InvalidSpecError):
-        SumRuleSpec(Operator.EXP_IQX, 1)  # q missing
+        SumRuleSpec("bethe")  # q missing
     with pytest.raises(InvalidSpecError):
-        SumRuleSpec(Operator.EXP_IQX, 1, 1, -2.0)
+        SumRuleSpec("bethe", 1, -2.0)
     with pytest.raises(InvalidSpecError):
-        SumRuleSpec(Operator.X, 1, 1, 1.0)  # q meaningless for X
-    assert SumRuleSpec(Operator.EXP_IQX, 1, 1, 2.0).rule_name == "bethe"
+        SumRuleSpec("trk", 1, 1.0)  # q meaningless for trk
+    spec = SumRuleSpec("bethe", 1, 2)
+    assert (spec.rule, spec.n, spec.q) == ("bethe", 1, 2.0)
 
 
 def test_analytic_rhs_values():
@@ -75,7 +66,7 @@ def test_analytic_rhs_values():
     assert analytic_rhs(CLOSURE, ModelKind.DELTA) == 0.5
     assert analytic_rhs(TRK, ModelKind.DELTA) == 0.5
     assert analytic_rhs(MONOPOLE, ModelKind.DELTA) == 1.0
-    bethe = spec_for("bethe", q=2.0)
+    bethe = SumRuleSpec("bethe", q=2.0)
     assert analytic_rhs(bethe, ModelKind.DELTA) == 2.0
     with pytest.raises(InvalidSpecError):
         analytic_rhs(bethe, ModelKind.ISW)
@@ -93,33 +84,26 @@ def test_half_line_moment_frozen_values():
 
 
 def test_lhs_isw_examples():
-    paths = lhs_isw(CLOSURE, n=1)
+    paths = lhs_isw(CLOSURE)
     assert paths.closed == pytest.approx(1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-14, abs=0)
-    paths = lhs_isw(TRK, n=2)
+    paths = lhs_isw(SumRuleSpec("trk", n=2))
     assert paths.closed == pytest.approx(0.5, rel=1e-14, abs=0)
-    paths = lhs_isw(MONOPOLE, n=1)
+    paths = lhs_isw(MONOPOLE)
     assert paths.closed == pytest.approx(
         2.0 * (1.0 / 3.0 - 1.0 / (2.0 * PI**2)), rel=1e-13, abs=0
     )
     assert paths.components is None
 
 
-def test_lhs_isw_state_override():
-    by_spec = lhs_isw(spec_for("trk", n=4))
-    by_override = lhs_isw(TRK, n=4)
-    assert by_override.closed == by_spec.closed
-    assert by_override.brute == by_spec.brute
-
-
 def test_lhs_isw_rejects_bethe():
     with pytest.raises(InvalidSpecError):
-        lhs_isw(spec_for("bethe", q=1.0))
+        lhs_isw(SumRuleSpec("bethe", q=1.0))
 
 
 def test_lhs_delta_examples():
     assert lhs_delta(CLOSURE).closed == pytest.approx(0.5, rel=1e-14, abs=0)
     assert lhs_delta(MONOPOLE).brute == pytest.approx(1.0, rel=1e-11)
-    paths = lhs_delta(spec_for("bethe", q=1.0))
+    paths = lhs_delta(SumRuleSpec("bethe", q=1.0))
     assert paths.components is not None
     assert paths.components.odd_closed == pytest.approx(0.375, rel=1e-13, abs=0)
     assert paths.components.even_closed == pytest.approx(0.125, rel=1e-13, abs=0)
@@ -131,7 +115,7 @@ def test_lhs_delta_examples():
 def test_isw_saturation(rule, n):
     """Closed path hits the analytic value at 1e-12; the brute path
     lands within its own (rescaled) tail estimate."""
-    spec = spec_for(rule, n=n)
+    spec = SumRuleSpec(rule, n=n)
     report = verify(spec, ModelKind.ISW, tol=1e-9)
     assert report.passed
     assert report.closed.rel_err < 1e-12
@@ -141,20 +125,20 @@ def test_isw_saturation(rule, n):
 
 @pytest.mark.parametrize("rule", ["closure", "trk", "monopole"])
 def test_delta_saturation(rule):
-    report = verify(spec_for(rule), ModelKind.DELTA, tol=1e-9)
+    report = verify(SumRuleSpec(rule), ModelKind.DELTA, tol=1e-9)
     assert report.passed
     assert report.closed.rel_err < 1e-12
     assert report.brute.abs_err <= report.brute.trace.est_error + 1e-13
 
 
 def test_verify_report_structure():
-    report = verify(spec_for("trk", n=3), ModelKind.ISW)
+    report = verify(SumRuleSpec("trk", n=3), ModelKind.ISW)
     assert report.rule_id == "isw.trk"
     assert report.params == {"n": 3}
     assert report.closed.rule_id == "isw.trk.closed"
     assert report.brute.rule_id == "isw.trk.brute"
     assert report.analytic == 0.5
-    bethe = verify(spec_for("bethe", q=2.0), ModelKind.DELTA)
+    bethe = verify(SumRuleSpec("bethe", q=2.0), ModelKind.DELTA)
     assert bethe.rule_id == "delta.bethe"
     assert bethe.params == {"q": 2.0}
     with pytest.raises(InvalidSpecError):
@@ -162,7 +146,7 @@ def test_verify_report_structure():
 
 
 def test_verify_forced_failure():
-    report = verify(spec_for("trk"), ModelKind.ISW, tol=1e-30, max_terms=50)
+    report = verify(SumRuleSpec("trk"), ModelKind.ISW, tol=1e-30, max_terms=50)
     assert not report.passed
 
 
@@ -225,7 +209,7 @@ def test_diagonal_handling():
     care whether it is included because the gap factor kills it."""
     n = 2
     direct = sum(isw.x_me(n, k) ** 2 for k in range(1, 400))
-    assert direct == pytest.approx(analytic_rhs(spec_for("closure", n=n), ModelKind.ISW), rel=1e-9)
+    assert direct == pytest.approx(analytic_rhs(SumRuleSpec("closure", n=n), ModelKind.ISW), rel=1e-9)
     # strip the diagonal and the sum falls short by exactly (1/2)^2
     assert direct - isw.x_me(n, n) ** 2 == pytest.approx(direct - 0.25, rel=1e-12, abs=0)
     # the k = n contribution to TRK/monopole is identically zero
@@ -292,12 +276,11 @@ def test_stark_verify_isw_sign_flip():
 
 
 def test_stark_verify_delta():
-    for state in (None, "bound"):
-        report = stark_verify(ModelKind.DELTA, state, 1.0)
-        assert report.passed
-        assert report.analytic == -0.625
-        assert report.closed.rel_err < 1e-12
-        assert report.brute.rel_err < 1e-10
+    report = stark_verify(ModelKind.DELTA, None, 1.0)
+    assert report.passed
+    assert report.analytic == -0.625
+    assert report.closed.rel_err < 1e-12
+    assert report.brute.rel_err < 1e-10
     assert stark_verify(ModelKind.DELTA, F=2.0).analytic == -2.5
 
 
@@ -315,6 +298,8 @@ def test_stark_verify_validation():
         stark_verify(ModelKind.ISW, "bound", 1.0)
     with pytest.raises(InvalidSpecError):
         stark_verify(ModelKind.DELTA, 3, 1.0)
+    with pytest.raises(InvalidSpecError):
+        stark_verify(ModelKind.DELTA, "bound", 1.0)  # the state is None
     with pytest.raises(InvalidSpecError):
         stark_verify(ModelKind.ISW, 1, math.inf)
     with pytest.raises(InvalidSpecError):

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from sumrules.core import ArcDivergenceError, InconsistencyError, InvalidSpecError
 from sumrules.quadrature import integrate_real_line
 from sumrules.residue import (
-    ComplexPoly,
     FactoredRational,
     build_bethe_integrand,
     contour_integral_uhp,
@@ -29,10 +28,12 @@ PI = math.pi
 
 
 def test_poly_trims_and_evaluates():
-    p = ComplexPoly([1.0, 2.0, 0.0, 0.0])
-    assert p.coefficients == (1 + 0j, 2 + 0j)
+    # with no poles the rational function is its numerator polynomial
+    p = FactoredRational([1.0, 2.0, 0.0, 0.0], [])
+    assert p.numerator == (1 + 0j, 2 + 0j)
     assert p.degree == 1
     assert p(3.0) == 7 + 0j
+    assert FactoredRational([], []).numerator == (0j,)
 
 
 def test_simple_pole_residue():
