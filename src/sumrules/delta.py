@@ -26,42 +26,10 @@ def bound_energy() -> float:
     return -0.5
 
 
-def psi_bound(x):
-    """Normalized bound state exp(-|x|)."""
-    x = np.asarray(x, dtype=float)
-    value = np.exp(-np.abs(x))
-    return float(value) if value.ndim == 0 else value
-
-
-def energy_continuum(k):
-    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
-    value = 0.5 * k * k
-    return float(value) if value.ndim == 0 else value
-
-
 def energy_gap(k):
     """E_k - E_0 = (k^2 + 1)/2, the weight in every energy-weighted rule."""
     k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
     value = 0.5 * (k * k + 1.0)
-    return float(value) if value.ndim == 0 else value
-
-
-def psi_continuum(parity: Parity, k: float, x):
-    """Delta-normalized scattering state of the given parity.
-
-    Odd: sin(kx)/sqrt(pi).  Even: (sin(k|x|) - k cos(kx)) / sqrt(pi (1+k^2)),
-    which carries the kink at the origin that the well imposes.
-    """
-    k = check_finite_positive(float(k), "continuum wavenumber")
-    x = np.asarray(x, dtype=float)
-    if parity is Parity.ODD:
-        value = np.sin(k * x) / math.sqrt(_PI)
-    elif parity is Parity.EVEN:
-        value = (np.sin(k * np.abs(x)) - k * np.cos(k * x)) / math.sqrt(
-            _PI * (1.0 + k * k)
-        )
-    else:
-        raise InvalidSpecError("continuum states are even or odd")
     return float(value) if value.ndim == 0 else value
 
 

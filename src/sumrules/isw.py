@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import series
-from .core import DomainError, check_state_index
+from .core import check_state_index
 
 _PI = math.pi
 
@@ -27,16 +25,6 @@ def energy(n: int) -> float:
     """Reduced eigenvalue (n pi)^2 / 2."""
     n = check_state_index(n)
     return 0.5 * (n * _PI) ** 2
-
-
-def psi(n: int, x):
-    """Normalized eigenfunction sqrt(2) sin(n pi x); x must lie in [0, 1]."""
-    n = check_state_index(n)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise DomainError("x outside the well [0, 1]")
-    value = math.sqrt(2.0) * np.sin(n * _PI * x)
-    return float(value) if value.ndim == 0 else value
 
 
 def x_me(n: int, k: int) -> float:

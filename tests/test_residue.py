@@ -9,20 +9,24 @@ as well as on quadrature cross-checks.
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumrules.core import ArcDivergenceError, InconsistencyError, InvalidSpecError
-from sumrules.quadrature import integrate_real_line
 from sumrules.residue import (
     FactoredRational,
+    _has_mirror_symmetry,
+    _residue_at_exact,
+    _uhp_residue_sum,
     build_bethe_integrand,
     contour_integral_uhp,
-    residue_at,
 )
 from sumrules.series import Parity
+
+from oracles import integrate_real_line, residue_at
 
 PI = math.pi
 
@@ -177,6 +181,72 @@ def test_bethe_contour_values_are_frozen_bit_for_bit(q, odd_hex, even_hex):
     odd = contour_integral_uhp(build_bethe_integrand(Parity.ODD, q, 1.0))
     even = contour_integral_uhp(build_bethe_integrand(Parity.EVEN, q, 1.0))
     assert (odd.hex(), even.hex()) == (odd_hex, even_hex)
+
+
+def _every_uhp_residue(f):
+    total = (Fraction(0), Fraction(0))
+    for index, (location, _) in enumerate(f.poles):
+        if location.imag > 0:
+            res = _residue_at_exact(f, index)
+            total = (total[0] + res[0], total[1] + res[1])
+    return total
+
+
+def test_mirror_path_sum_is_the_exact_sum_over_every_uhp_pole():
+    """One residue per mirror pair gives exactly the Fraction that
+    expanding every upper-half-plane pole gives."""
+    rng = random.Random(20261018)
+    for _ in range(12):
+        q, k0 = 10.0 ** rng.uniform(-4.0, 4.0), rng.uniform(0.3, 3.0)
+        for parity in (Parity.ODD, Parity.EVEN):
+            f = build_bethe_integrand(parity, q, k0)
+            assert _has_mirror_symmetry(f)
+            assert _uhp_residue_sum(f) == _every_uhp_residue(f)
+
+
+# float.hex of the contour value, frozen before the mirror rule
+_GENERIC_HEX = [
+    # poles a +- bi with a != 0 and no mirror partner
+    ([1.0], [(complex(0.7, 1.0), 1), (complex(0.7, -1.0), 1)], "0x1.921fb54442d18p+1"),
+    (
+        [1.0, 0.5, 2.0, 0.0, -1.5],
+        [(1j, 3), (-1j, 3), (complex(2.0, 0.5), 1), (complex(2.0, -0.5), 1)],
+        "-0x1.08c56e7cee926p-5",
+    ),
+    # the first pole's mirror partner is there, the last pair's is not
+    (
+        [1.0],
+        [(1 + 1j, 1), (1 - 1j, 1), (-1 + 1j, 1), (-1 - 1j, 1), (2 + 1j, 1), (2 - 1j, 1)],
+        "0x1.d62cf373424f9p-3",
+    ),
+    # a mirror-closed pole set under a numerator with an odd power
+    ([1.0, 0.5, 2.0], [(1 + 1j, 2), (1 - 1j, 2), (-1 + 1j, 2), (-1 - 1j, 2)], "0x1.5fdbbe9bba775p-2"),
+]
+
+
+@pytest.mark.parametrize("numerator, poles, value_hex", _GENERIC_HEX)
+def test_integrands_without_mirror_symmetry_take_the_generic_path(numerator, poles, value_hex):
+    f = FactoredRational(numerator, poles)
+    assert not _has_mirror_symmetry(f)
+    assert contour_integral_uhp(f).hex() == value_hex
+
+
+@pytest.mark.parametrize(
+    "numerator, poles, value_hex",
+    [
+        ([1.0], [(1j, 2), (-1j, 2)], "0x1.921fb54442d18p+0"),
+        (
+            [1.0, 0.0, 1.0],
+            [(1 + 1j, 2), (1 - 1j, 2), (-1 + 1j, 2), (-1 - 1j, 2), (2j, 1), (-2j, 1)],
+            "0x1.9a2a950d4e651p-5",
+        ),
+    ],
+)
+def test_poles_on_the_imaginary_axis_take_the_mirror_path(numerator, poles, value_hex):
+    f = FactoredRational(numerator, poles)
+    assert _has_mirror_symmetry(f)
+    assert _uhp_residue_sum(f) == _every_uhp_residue(f)
+    assert contour_integral_uhp(f).hex() == value_hex
 
 
 def test_bethe_integrand_shape():
