@@ -18,18 +18,14 @@ from .core import (
     PoleError,
     SumRuleError,
     TruncationTrace,
-    VerificationReport,
 )
 from .engine import (
     BetheComponents,
     OscillatorStrengthTable,
-    RulePaths,
     RuleVerification,
     SumRuleSpec,
     analytic_rhs,
     bethe_components,
-    lhs_delta,
-    lhs_isw,
     oscillator_strengths,
     stark_verify,
     verify,
@@ -51,16 +47,12 @@ __all__ = [
     "Parity",
     "PoleError",
     "QuadratureResult",
-    "RulePaths",
     "RuleVerification",
     "SumRuleError",
     "SumRuleSpec",
     "TruncationTrace",
-    "VerificationReport",
     "analytic_rhs",
     "bethe_components",
-    "lhs_delta",
-    "lhs_isw",
     "oscillator_strengths",
     "stark_verify",
     "verify",

@@ -32,7 +32,7 @@ from .core import (
     ModelKind,
     SumRuleError,
 )
-from .engine import RulePaths, SumRuleSpec
+from .engine import RuleVerification, SumRuleSpec
 from .quadrature import QuadratureResult
 from .series import Parity
 
@@ -173,19 +173,19 @@ def _trace_dict(trace) -> dict:
             "converged": trace.converged}
 
 
-def _row(rule: str, verification: engine.RuleVerification) -> dict:
-    model = verification.model
+def _row(rule: str, check: RuleVerification) -> dict:
+    model = check.model
     return {
         "rule": rule,
         "model": None if model is None else model.value,
-        "params": dict(verification.params),
-        "analytic": verification.analytic,
-        "numeric_closed": verification.closed.numeric,
-        "numeric_brute": verification.brute.numeric,
-        "rel_err_closed": verification.closed.rel_err,
-        "rel_err_brute": verification.brute.rel_err,
-        "passed": verification.passed,
-        "trace": _trace_dict(verification.brute.trace),
+        "params": dict(check.params),
+        "analytic": check.analytic,
+        "numeric_closed": check.closed,
+        "numeric_brute": check.brute,
+        "rel_err_closed": check.rel_err_closed,
+        "rel_err_brute": check.rel_err_brute,
+        "passed": check.passed,
+        "trace": _trace_dict(check.trace),
     }
 
 
@@ -223,7 +223,7 @@ def _run_stark(args: argparse.Namespace) -> tuple[list[dict], list]:
 
 
 def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
-    checks = []
+    checks = []  # (rule, params, analytic, closed, trace)
     if args.removed_term:
         if not args.n:
             raise UsageError("--removed-term needs --n")
@@ -232,8 +232,7 @@ def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
             extrapolated = series.removed_term_sum_limit(n)
             trace = series.brute_sum(3, float(n), Parity.ALL, weight_k2=True,
                                      exclude=n, tol=args.tol, max_terms=args.kmax)
-            checks.append(("series.removed_term", {"n": n}, limit,
-                           RulePaths(extrapolated, trace.value, trace)))
+            checks.append(("series.removed_term", {"n": n}, limit, extrapolated, trace))
     elif args.p is None:
         raise UsageError("series needs --p")
     elif args.weighted:
@@ -243,8 +242,7 @@ def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
             closed = series.weighted_k2_sum(args.p, n)
             trace = series.brute_sum(args.p, float(n), series.opposite_parity(n),
                                      weight_k2=True, tol=args.tol, max_terms=args.kmax)
-            checks.append(("series.weighted_k2", {"p": args.p, "n": n}, closed,
-                           RulePaths(closed, trace.value, trace)))
+            checks.append(("series.weighted_k2", {"p": args.p, "n": n}, closed, closed, trace))
     elif args.z is None:
         raise UsageError("series needs --z (or --n with --weighted/--removed-term)")
     else:
@@ -253,10 +251,11 @@ def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
         trace = series.brute_sum(args.p, args.z, parity, tol=args.tol,
                                  max_terms=args.kmax)
         checks.append(("series.sum", {"p": args.p, "z": args.z, "parity": parity.value},
-                       closed, RulePaths(closed, trace.value, trace)))
+                       closed, closed, trace))
     rows = [
-        _row(rule, engine.verification(rule, None, params, analytic, paths, args.tol))
-        for rule, params, analytic, paths in checks
+        _row(rule, RuleVerification(rule, None, params, analytic, closed, trace.value,
+                                    trace, args.tol))
+        for rule, params, analytic, closed, trace in checks
     ]
     return rows, []
 
@@ -266,8 +265,8 @@ def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], list]:
         raise UsageError("sweep exports truncation traces; only --model isw has them")
     rows = []
     for n in args.n:
-        spec = SumRuleSpec(args.rule, n=n)
-        trace = engine.lhs_isw(spec, tol=args.tol, max_terms=args.kmax).trace
+        _, brute_args = engine.box_lattice_sum(args.rule, n)
+        trace = series.brute_sum(**brute_args, tol=args.tol, max_terms=args.kmax)
         # everything here is in raw lattice-sum units, before the rule's
         # matrix-element prefactor
         rows.append({

@@ -1,10 +1,10 @@
-"""Shared error types, input checks and verification records.
+"""Shared error types, input checks and the brute-force truncation record.
 
 Everything numerical in this package runs in reduced units (hbar = m = 1,
 and well width a = 1 for the box model or kappa0 = 1 for the delta model).
 This module holds what every other module shares: the error hierarchy,
 the checks on state indices and on positive wavenumbers, the brute-force
-truncation record and the report arithmetic.
+truncation record and the relative-error rule every check is judged by.
 """
 
 from __future__ import annotations
@@ -115,40 +115,7 @@ class TruncationTrace:
             raise InvalidSpecError("tail_estimate must be nonnegative")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of comparing one numerical route against the analytic value."""
-
-    rule_id: str
-    analytic: float
-    numeric: float
-    abs_err: float
-    rel_err: float
-    trace: object | None
-    passed: bool
-
-
-def make_report(
-    rule_id: str,
-    analytic: float,
-    numeric: float,
-    trace: object | None = None,
-    tol: float = DEFAULT_TOL,
-) -> VerificationReport:
-    """Build a VerificationReport with the standard error arithmetic.
-
-    abs_err = |analytic - numeric|; rel_err divides by
-    max(|analytic|, floor) so exact zeros cannot blow up the ratio;
-    passed means rel_err <= tol.
-    """
-    abs_err = abs(analytic - numeric)
-    rel_err = abs_err / max(abs(analytic), REL_ERR_FLOOR)
-    return VerificationReport(
-        rule_id=rule_id,
-        analytic=analytic,
-        numeric=numeric,
-        abs_err=abs_err,
-        rel_err=rel_err,
-        trace=trace,
-        passed=rel_err <= tol,
-    )
+def rel_err(analytic: float, value: float) -> float:
+    """|analytic - value| / max(|analytic|, REL_ERR_FLOOR): the floor keeps
+    an exact zero target from blowing up the ratio."""
+    return abs(analytic - value) / max(abs(analytic), REL_ERR_FLOOR)

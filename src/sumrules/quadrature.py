@@ -26,6 +26,7 @@ import numpy as np
 from .core import DEFAULT_TOL, REL_ERR_FLOOR, DomainError, InvalidSpecError
 
 MAX_PANELS = 10_000
+_INITIAL_PANELS = 8
 _FAR_FIELD = 1e13  # |k| beyond which jacobian overflow is treated as zero tail
 
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
@@ -74,7 +75,6 @@ def integrate_interval(
     tol: float = DEFAULT_TOL,
     abs_tol: float = 0.0,
     max_panels: int = MAX_PANELS,
-    initial_panels: int = 8,
 ) -> QuadratureResult:
     """Adaptive integral of a vectorized integrand over [lo, hi].
 
@@ -89,7 +89,7 @@ def integrate_interval(
     if tol <= 0 and abs_tol <= 0:
         raise InvalidSpecError("need a positive tol or abs_tol")
 
-    edges = np.linspace(lo, hi, initial_panels + 1).tolist()
+    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1).tolist()
     heap: list[tuple[float, int, float, float, float, float]] = []
     value = 0.0
     est = 0.0
@@ -107,7 +107,7 @@ def integrate_interval(
     def target() -> float:
         return max(tol * max(abs(value), REL_ERR_FLOOR), abs_tol)
 
-    panels = initial_panels
+    panels = _INITIAL_PANELS
     while est > target() and panels < max_panels:
         _, _, a, b, v, e = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -161,8 +161,6 @@ def integrate_semi_inf(
     f: Callable,
     scale: float = 1.0,
     tol: float = DEFAULT_TOL,
-    abs_tol: float = 0.0,
-    max_panels: int = MAX_PANELS,
 ) -> QuadratureResult:
     """Integral of f over [0, inf) via the k = scale * tan(theta) map.
 
@@ -171,8 +169,5 @@ def integrate_semi_inf(
     near the natural width of f converges fastest.
     """
     _check_scale(scale)
-    return integrate_interval(
-        _tan_wrapped(f, scale), 0.0, 0.5 * math.pi,
-        tol=tol, abs_tol=abs_tol, max_panels=max_panels,
-    )
+    return integrate_interval(_tan_wrapped(f, scale), 0.0, 0.5 * math.pi, tol=tol)
 

@@ -486,7 +486,7 @@ def brute_sum(
         # chunks are covered by the rest
         return (32.0 + chunks) * eps * abs_total
 
-    while terms_used < max_terms:
+    while True:  # max_terms >= 1, so at least one chunk
         count = min(_CHUNK, max(_CHUNK_FLOOR, terms_used), max_terms - terms_used)
         k = k_next + step * np.arange(count, dtype=float)
         values = _term_chunk(k, p, z2, weight_k2, exclude)
@@ -508,26 +508,24 @@ def brute_sum(
         k_next = k_next + step * count
         last_term = abs(float(values[-1]))
 
-        K_edge = k_next - step  # largest summed lattice point
-        if K_edge > 2.0 * az + 4.0 * step:
-            X = K_edge + step / 2.0
-            integral, trunc = _tail_integral(X, p, z2, weight_k2)
-            derivative_allowance = step * _term_derivative_bound(X, p, z2, weight_k2) / 24.0
-            residual = trunc + 2.0 * derivative_allowance + roundoff()
-            correction = integral / step
-            value = total + correction
-            bound = tol * max(abs(value), REL_ERR_FLOOR)
-            if last_term <= bound and trunc + 2.0 * derivative_allowance <= bound:
-                # only roundoff() can still hold the residual over the
-                # bound, and it grows with every chunk: stop either way
-                converged = residual <= bound
-                break
-
-    X = (k_next - step) + step / 2.0
-    integral, trunc = _tail_integral(X, p, z2, weight_k2)
-    derivative_allowance = step * _term_derivative_bound(X, p, z2, weight_k2) / 24.0
-    residual = trunc + 2.0 * derivative_allowance + roundoff()
-    value = total + integral / step
+        capped = terms_used >= max_terms
+        clear = k_next - step > 2.0 * az + 4.0 * step  # last summed point well past |z|
+        if not (clear or capped):
+            continue
+        X = (k_next - step) + step / 2.0
+        integral, trunc = _tail_integral(X, p, z2, weight_k2)
+        derivative_allowance = step * _term_derivative_bound(X, p, z2, weight_k2) / 24.0
+        truncation = trunc + 2.0 * derivative_allowance
+        residual = truncation + roundoff()
+        value = total + integral / step
+        bound = tol * max(abs(value), REL_ERR_FLOOR)
+        if clear and last_term <= bound and truncation <= bound:
+            # only roundoff() can still hold the residual over the
+            # bound, and it grows with every chunk: stop either way
+            converged = residual <= bound
+            break
+        if capped:
+            break
     return TruncationTrace(
         value=value,
         partial_sums=tuple(checkpoints),

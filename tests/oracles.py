@@ -18,7 +18,6 @@ from sumrules.core import (
     check_state_index,
 )
 from sumrules.quadrature import (
-    MAX_PANELS,
     QuadratureResult,
     _check_scale,
     _tan_wrapped,
@@ -77,13 +76,11 @@ def integrate_real_line(
     scale: float = 1.0,
     tol: float = DEFAULT_TOL,
     abs_tol: float = 0.0,
-    max_panels: int = MAX_PANELS,
 ) -> QuadratureResult:
     """Integral of f over (-inf, inf) via the two-sided tan map."""
     _check_scale(scale)
     return integrate_interval(
-        _tan_wrapped(f, scale), -0.5 * PI, 0.5 * PI,
-        tol=tol, abs_tol=abs_tol, max_panels=max_panels, initial_panels=16,
+        _tan_wrapped(f, scale), -0.5 * PI, 0.5 * PI, tol=tol, abs_tol=abs_tol
     )
 
 

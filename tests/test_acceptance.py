@@ -37,10 +37,11 @@ def test_criterion_01_isw_closure():
     with criterion(1, "isw closure"):
         for n in range(1, 21):
             target = 1.0 / 3.0 - 1.0 / (2.0 * n * n * PI * PI)
-            paths = engine.lhs_isw(SumRuleSpec("closure", n=n), max_terms=10_000)
-            assert paths.trace.terms_used <= 10_000
-            assert rel(paths.brute, target) <= 1e-9
-            assert rel(paths.closed, target) <= 1e-12
+            check = engine.verify(SumRuleSpec("closure", n=n), ModelKind.ISW,
+                                  max_terms=10_000)
+            assert check.trace.terms_used <= 10_000
+            assert rel(check.brute, target) <= 1e-9
+            assert rel(check.closed, target) <= 1e-12
 
 
 def test_criterion_02_isw_trk():
@@ -51,11 +52,11 @@ def test_criterion_02_isw_trk():
         for n in range(1, 21):
             closed = (32.0 * n * n / PI**2) * series.weighted_k2_sum(3, n)
             assert rel(closed, 0.5) <= 1e-12
-            paths = engine.lhs_isw(SumRuleSpec("trk", n=n))
+            check = engine.verify(SumRuleSpec("trk", n=n), ModelKind.ISW)
             prefactor = 32.0 * n * n / PI**2
             slack = 1e-13 * 0.5  # analytic side is itself a float chain
-            assert abs(paths.brute - 0.5) <= (
-                prefactor * paths.trace.tail_estimate + slack
+            assert abs(check.brute - 0.5) <= (
+                prefactor * check.trace.tail_estimate + slack
             )
 
 
@@ -109,19 +110,19 @@ def test_criterion_05_series_identities():
 def test_criterion_06_delta_rules():
     with criterion(6, "delta closure/trk/monopole"):
         for rule, target in (("closure", 0.5), ("trk", 0.5), ("monopole", 1.0)):
-            paths = engine.lhs_delta(SumRuleSpec(rule))
-            assert rel(paths.brute, target) <= 1e-9
-            assert rel(paths.closed, target) <= 1e-12
+            check = engine.verify(SumRuleSpec(rule), ModelKind.DELTA)
+            assert rel(check.brute, target) <= 1e-9
+            assert rel(check.closed, target) <= 1e-12
 
 
 def test_criterion_07_delta_stark():
     with criterion(7, "delta stark"):
         report = engine.stark_verify(ModelKind.DELTA, F=1.0)
-        assert rel(report.closed.numeric, -0.625) <= 1e-10
-        assert rel(report.brute.numeric, -0.625) <= 1e-10
+        assert rel(report.closed, -0.625) <= 1e-10
+        assert rel(report.brute, -0.625) <= 1e-10
         report = engine.stark_verify(ModelKind.DELTA, F=0.5)
-        assert rel(report.closed.numeric, -0.625 * 0.25) <= 1e-10
-        assert rel(report.brute.numeric, -0.625 * 0.25) <= 1e-10
+        assert rel(report.closed, -0.625 * 0.25) <= 1e-10
+        assert rel(report.brute, -0.625 * 0.25) <= 1e-10
 
 
 def test_criterion_08_bethe():
@@ -161,9 +162,9 @@ def test_criterion_10_cli(capsys):
         rows = json.loads(capsys.readouterr().out)
         again = engine.verify(SumRuleSpec("monopole", n=3), ModelKind.ISW)
         assert rows[0]["analytic"] == again.analytic
-        assert rows[0]["numeric_closed"] == again.closed.numeric
-        assert rows[0]["numeric_brute"] == again.brute.numeric
-        assert rows[0]["rel_err_brute"] == again.brute.rel_err
+        assert rows[0]["numeric_closed"] == again.closed
+        assert rows[0]["numeric_brute"] == again.brute
+        assert rows[0]["rel_err_brute"] == again.rel_err_brute
 
         assert cli.main(["verify", "--model", "isw", "--rule", "closure",
                          "--n", "1", "--tol", "1e-30", "--kmax", "50"]) == 1

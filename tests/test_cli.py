@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from sumrules import cli, engine
+from sumrules import cli, engine, series
 from sumrules.cli import main
 from sumrules.core import KMAX_ENV_VAR, ModelKind
 from sumrules.engine import SumRuleSpec
@@ -176,14 +176,14 @@ def test_json_verify_round_trips_bit_exact(capsys):
     # 17 significant digits: parsing the output must reproduce every
     # float exactly, not approximately
     assert row["analytic"] == report.analytic
-    assert row["numeric_closed"] == report.closed.numeric
-    assert row["numeric_brute"] == report.brute.numeric
-    assert row["rel_err_closed"] == report.closed.rel_err
-    assert row["rel_err_brute"] == report.brute.rel_err
+    assert row["numeric_closed"] == report.closed
+    assert row["numeric_brute"] == report.brute
+    assert row["rel_err_closed"] == report.rel_err_closed
+    assert row["rel_err_brute"] == report.rel_err_brute
     assert row["passed"] is True
     assert row["params"] == {"n": 2}
-    assert row["trace"]["terms_used"] == report.brute.trace.terms_used
-    assert row["trace"]["tail_estimate"] == report.brute.trace.tail_estimate
+    assert row["trace"]["terms_used"] == report.trace.terms_used
+    assert row["trace"]["tail_estimate"] == report.trace.tail_estimate
 
 
 def test_json_bethe_round_trips_bit_exact(capsys):
@@ -243,8 +243,8 @@ def test_verify_csv_header_and_values(capsys):
     # .17g text parses back to the exact double
     report = engine.verify(SumRuleSpec("trk", n=1), ModelKind.ISW)
     assert float(first["analytic"]) == report.analytic
-    assert float(first["numeric_brute"]) == report.brute.numeric
-    assert int(first["terms_used"]) == report.brute.trace.terms_used
+    assert float(first["numeric_brute"]) == report.brute
+    assert int(first["terms_used"]) == report.trace.terms_used
     assert first["evaluations"] == ""
 
 
@@ -289,6 +289,37 @@ def test_sweep_csv_one_row_per_checkpoint(capsys):
     # every checkpoint advertises the shared final value
     finals = {row[5] for row in table[1:]}
     assert len(finals) == 1
+
+
+@pytest.mark.parametrize("rule", ["closure", "trk", "monopole"])
+@pytest.mark.parametrize("tol, kmax", [(1e-9, None), (1e-14, 3000)])
+def test_sweep_rows_are_the_rule_lattice_sum(capsys, rule, tol, kmax):
+    """Each sweep row is the brute sum behind the rule, field for field;
+    monopole runs the struck-out k = n path."""
+    argv = ["sweep", "--model", "isw", "--rule", rule, "--n", "1,2,5",
+            "--tol", str(tol), "--format", "json"]
+    if kmax is not None:
+        argv += ["--kmax", str(kmax)]
+    code, out, _ = run_cli(capsys, *argv)
+    rows = json.loads(out)
+    assert [row["params"]["n"] for row in rows] == [1, 2, 5]
+    for row in rows:
+        n = row["params"]["n"]
+        trace = series.brute_sum(**engine.box_lattice_sum(rule, n)[1], tol=tol,
+                                 max_terms=kmax)
+        assert row["rule"] == rule
+        assert row["passed"] is trace.converged
+        assert row["trace"] == {
+            "value": trace.value,
+            "terms_used": trace.terms_used,
+            "tail_estimate": trace.tail_estimate,
+            "converged": trace.converged,
+            "checkpoints": [
+                {"terms": t, "partial_sum": s}
+                for t, s in zip(trace.checkpoint_terms, trace.partial_sums)
+            ],
+        }
+    assert code == (0 if all(row["passed"] for row in rows) else 1)
 
 
 def _csv_cell(value) -> str:

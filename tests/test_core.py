@@ -1,4 +1,5 @@
-"""Report arithmetic, the shared record types, and the term-cap setting."""
+"""The verification record's arithmetic, the shared record types, and
+the term-cap setting."""
 
 import math
 
@@ -12,27 +13,46 @@ from sumrules.core import (
     KMAX_ENV_VAR,
     TruncationTrace,
     default_max_terms,
-    make_report,
 )
+from sumrules.engine import RuleVerification
 from sumrules.series import checkpoint_indices
 
+TRACE = TruncationTrace(0.0, (0.0,), (1,), 1, 0.0, True)
 
-@settings(max_examples=50, deadline=None)
+
+def record(analytic, closed, brute, tol):
+    return RuleVerification("prop", None, {}, analytic, closed, brute, TRACE, tol)
+
+
+finite = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    analytic=st.floats(-1e6, 1e6, allow_nan=False),
-    numeric=st.floats(-1e6, 1e6, allow_nan=False),
+    analytic=st.one_of(st.just(0.0), finite),
+    closed=st.one_of(st.just(math.nan), finite),
+    brute=st.one_of(st.just(math.nan), finite),
+    tol=st.floats(1e-15, 1.0),
 )
-def test_report_arithmetic_recomputable(analytic, numeric):
-    rep = make_report("prop", analytic, numeric, tol=1e-9)
-    assert rep.abs_err == abs(analytic - numeric)
-    assert rep.rel_err == rep.abs_err / max(abs(analytic), 1e-300)
-    assert rep.passed == (rep.rel_err <= 1e-9)
+def test_report_arithmetic_recomputable(analytic, closed, brute, tol):
+    check = record(analytic, closed, brute, tol)
+    for value, err in ((closed, check.rel_err_closed), (brute, check.rel_err_brute)):
+        if math.isnan(value):
+            assert math.isnan(err)
+        else:
+            # a zero analytic divides by the floor, not by zero
+            assert err == abs(analytic - value) / max(abs(analytic), 1e-300)
+            assert math.isfinite(err)
+    assert check.passed == (check.rel_err_closed <= tol and check.rel_err_brute <= tol)
+    if math.isnan(closed) or math.isnan(brute):
+        assert not check.passed
 
 
 def test_report_zero_analytic_does_not_divide_by_zero():
-    rep = make_report("zero", 0.0, 1e-12)
-    assert math.isfinite(rep.rel_err)
-    assert not rep.passed
+    check = record(0.0, 0.0, 1e-12, 1e-9)
+    assert check.rel_err_closed == 0.0
+    assert math.isfinite(check.rel_err_brute)
+    assert not check.passed
 
 
 def test_truncation_trace_validation():
@@ -66,3 +86,13 @@ def test_kmax_env_override(monkeypatch):
     monkeypatch.setenv(KMAX_ENV_VAR, "-3")
     with pytest.raises(InvalidSpecError):
         default_max_terms()
+
+
+def test_star_import_resolves_every_public_name():
+    import sumrules
+
+    namespace: dict = {}
+    exec("from sumrules import *", namespace)
+    missing = [name for name in sumrules.__all__ if name not in namespace]
+    assert missing == []
+    assert len(set(sumrules.__all__)) == len(sumrules.__all__)

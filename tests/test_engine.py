@@ -7,15 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumrules import engine, isw
-from sumrules.core import InconsistencyError, InvalidSpecError, ModelKind
+from sumrules.core import DEFAULT_TOL, InconsistencyError, InvalidSpecError, ModelKind
 from sumrules.engine import (
     SumRuleSpec,
     analytic_rhs,
     bethe_component_closed,
     bethe_components,
     half_line_moment,
-    lhs_delta,
-    lhs_isw,
     oscillator_strengths,
     stark_verify,
     verify,
@@ -84,30 +82,31 @@ def test_half_line_moment_frozen_values():
 
 
 def test_lhs_isw_examples():
-    paths = lhs_isw(CLOSURE)
-    assert paths.closed == pytest.approx(1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-14, abs=0)
-    paths = lhs_isw(SumRuleSpec("trk", n=2))
-    assert paths.closed == pytest.approx(0.5, rel=1e-14, abs=0)
-    paths = lhs_isw(MONOPOLE)
-    assert paths.closed == pytest.approx(
+    """The left side of each box rule along the closed route."""
+    check = verify(CLOSURE, ModelKind.ISW)
+    assert check.closed == pytest.approx(1.0 / 3.0 - 1.0 / (2.0 * PI**2), rel=1e-14, abs=0)
+    check = verify(SumRuleSpec("trk", n=2), ModelKind.ISW)
+    assert check.closed == pytest.approx(0.5, rel=1e-14, abs=0)
+    check = verify(MONOPOLE, ModelKind.ISW)
+    assert check.closed == pytest.approx(
         2.0 * (1.0 / 3.0 - 1.0 / (2.0 * PI**2)), rel=1e-13, abs=0
     )
-    assert paths.components is None
+    assert check.components is None
 
 
 def test_lhs_isw_rejects_bethe():
     with pytest.raises(InvalidSpecError):
-        lhs_isw(SumRuleSpec("bethe", q=1.0))
+        verify(SumRuleSpec("bethe", q=1.0), ModelKind.ISW)
 
 
 def test_lhs_delta_examples():
-    assert lhs_delta(CLOSURE).closed == pytest.approx(0.5, rel=1e-14, abs=0)
-    assert lhs_delta(MONOPOLE).brute == pytest.approx(1.0, rel=1e-11)
-    paths = lhs_delta(SumRuleSpec("bethe", q=1.0))
-    assert paths.components is not None
-    assert paths.components.odd_closed == pytest.approx(0.375, rel=1e-13, abs=0)
-    assert paths.components.even_closed == pytest.approx(0.125, rel=1e-13, abs=0)
-    assert paths.closed == pytest.approx(0.5, rel=1e-12, abs=0)
+    assert verify(CLOSURE, ModelKind.DELTA).closed == pytest.approx(0.5, rel=1e-14, abs=0)
+    assert verify(MONOPOLE, ModelKind.DELTA).brute == pytest.approx(1.0, rel=1e-11)
+    check = verify(SumRuleSpec("bethe", q=1.0), ModelKind.DELTA)
+    assert check.components is not None
+    assert check.components.odd_closed == pytest.approx(0.375, rel=1e-13, abs=0)
+    assert check.components.even_closed == pytest.approx(0.125, rel=1e-13, abs=0)
+    assert check.closed == pytest.approx(0.5, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("rule", ["closure", "trk", "monopole"])
@@ -118,26 +117,28 @@ def test_isw_saturation(rule, n):
     spec = SumRuleSpec(rule, n=n)
     report = verify(spec, ModelKind.ISW, tol=1e-9)
     assert report.passed
-    assert report.closed.rel_err < 1e-12
-    scaled_tail = ISW_PREFACTOR[rule](n) * report.brute.trace.tail_estimate
-    assert report.brute.abs_err <= scaled_tail + 1e-13 * abs(report.analytic)
+    assert report.rel_err_closed < 1e-12
+    scaled_tail = ISW_PREFACTOR[rule](n) * report.trace.tail_estimate
+    assert abs(report.brute - report.analytic) <= scaled_tail + 1e-13 * abs(report.analytic)
 
 
 @pytest.mark.parametrize("rule", ["closure", "trk", "monopole"])
 def test_delta_saturation(rule):
     report = verify(SumRuleSpec(rule), ModelKind.DELTA, tol=1e-9)
     assert report.passed
-    assert report.closed.rel_err < 1e-12
-    assert report.brute.abs_err <= report.brute.trace.est_error + 1e-13
+    assert report.rel_err_closed < 1e-12
+    assert abs(report.brute - report.analytic) <= report.trace.est_error + 1e-13
 
 
 def test_verify_report_structure():
     report = verify(SumRuleSpec("trk", n=3), ModelKind.ISW)
     assert report.rule_id == "isw.trk"
     assert report.params == {"n": 3}
-    assert report.closed.rule_id == "isw.trk.closed"
-    assert report.brute.rule_id == "isw.trk.brute"
     assert report.analytic == 0.5
+    assert report.tol == DEFAULT_TOL
+    assert report.rel_err_closed == abs(report.closed - 0.5) / 0.5
+    assert report.rel_err_brute == abs(report.brute - 0.5) / 0.5
+    assert report.brute == (32.0 * 3 * 3 / PI**2) * report.trace.value
     bethe = verify(SumRuleSpec("bethe", q=2.0), ModelKind.DELTA)
     assert bethe.rule_id == "delta.bethe"
     assert bethe.params == {"q": 2.0}
@@ -237,9 +238,9 @@ _DELTA_QUAD_HEX = [
 @pytest.mark.parametrize("name, q, tol, value_hex, est_hex, evaluations", _DELTA_QUAD_HEX)
 def test_delta_quadratures_are_frozen_bit_for_bit(name, q, tol, value_hex, est_hex, evaluations):
     if name == "stark":
-        result = stark_verify(ModelKind.DELTA, F=1.0, tol=tol).brute.trace
+        result = stark_verify(ModelKind.DELTA, F=1.0, tol=tol).trace
     elif q is None:
-        result = lhs_delta(SumRuleSpec(name), tol=tol).trace
+        result = verify(SumRuleSpec(name), ModelKind.DELTA, tol=tol).trace
     else:
         result = engine._bethe_quadrature_component(Parity(name), q, tol)
     assert (result.value.hex(), result.est_error.hex(), result.evaluations) == (
@@ -337,8 +338,8 @@ def test_stark_verify_isw():
     report = stark_verify(ModelKind.ISW, 1, 1.0)
     assert report.passed
     assert report.analytic == pytest.approx(-(15.0 - PI**2) / (24.0 * PI**2), rel=1e-14, abs=0)
-    assert report.closed.rel_err < 1e-12
-    assert report.brute.rel_err < 1e-10
+    assert report.rel_err_closed < 1e-12
+    assert report.rel_err_brute < 1e-10
     assert report.rule_id == "isw.stark2"
     assert report.params == {"n": 1, "F": 1.0}
 
@@ -353,8 +354,8 @@ def test_stark_verify_delta():
     report = stark_verify(ModelKind.DELTA, None, 1.0)
     assert report.passed
     assert report.analytic == -0.625
-    assert report.closed.rel_err < 1e-12
-    assert report.brute.rel_err < 1e-10
+    assert report.rel_err_closed < 1e-12
+    assert report.rel_err_brute < 1e-10
     assert stark_verify(ModelKind.DELTA, F=2.0).analytic == -2.5
 
 

@@ -102,13 +102,15 @@ def test_nan_integrand_rejected():
 
 
 def test_nan_in_right_half_of_bisected_panel_names_that_half():
-    # 0.75 is the centre node of [0.5, 1] but no node of [0, 1]: the one
-    # initial panel evaluates cleanly, and its first bisection meets the NaN
+    # the eight initial panels of [0, 8] are [0, 1], [1, 2], ...; 0.75 is
+    # the centre node of [0.5, 1] but no node of [0, 1], so they evaluate
+    # cleanly, and the first bisection, of the sqrt kink's panel [0, 1],
+    # meets the NaN
     def g(x):
         return np.where(np.abs(x - 0.75) < 0.01, np.nan, np.sqrt(x))
 
     with pytest.raises(DomainError, match=r"\[0\.5, 1\.0\]"):
-        integrate_interval(g, 0.0, 1.0, tol=1e-12, initial_panels=1)
+        integrate_interval(g, 0.0, 8.0, tol=1e-12)
 
 
 def test_nan_at_finite_k_rejected_on_half_line():
