@@ -12,7 +12,8 @@ serialized with 17 significant digits so a parsed report reproduces
 every value bit for bit.
 
 Verify, stark and series rows are one `RuleVerification` shape (model null
-on series rows); a CSV column is the row, params or trace field of its name.
+on series rows), printed under the record's own `rule` name; a CSV column
+is the row, params or trace field of its name.
 """
 
 from __future__ import annotations
@@ -173,10 +174,10 @@ def _trace_dict(trace) -> dict:
             "converged": trace.converged}
 
 
-def _row(rule: str, check: RuleVerification) -> dict:
+def _row(check: RuleVerification) -> dict:
     model = check.model
     return {
-        "rule": rule,
+        "rule": check.rule,
         "model": None if model is None else model.value,
         "params": dict(check.params),
         "analytic": check.analytic,
@@ -204,7 +205,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[list[dict], list]:
             specs = [SumRuleSpec(rule)]
         for spec in specs:
             verification = engine.verify(spec, model, args.tol, args.kmax)
-            rows.append(_row(rule, verification))
+            rows.append(_row(verification))
             if verification.components is not None:
                 bethe_detail.append(verification.components)
     return rows, bethe_detail
@@ -212,14 +213,10 @@ def _run_verify(args: argparse.Namespace) -> tuple[list[dict], list]:
 
 def _run_stark(args: argparse.Namespace) -> tuple[list[dict], list]:
     model = ModelKind(args.model)
-    if model is ModelKind.ISW:
-        verifications = [
-            engine.stark_verify(model, n, args.F, tol=args.tol, max_terms=args.kmax)
-            for n in args.n
-        ]
-    else:
-        verifications = [engine.stark_verify(model, F=args.F, tol=args.tol)]
-    return [_row("stark", v) for v in verifications], []
+    # the delta well's one bound state is named by None
+    states = args.n if model is ModelKind.ISW else (None,)
+    return [_row(engine.stark_verify(model, n, args.F, args.tol, args.kmax))
+            for n in states], []
 
 
 def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
@@ -228,10 +225,10 @@ def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
         if not args.n:
             raise UsageError("--removed-term needs --n")
         for n in args.n:
-            limit = series.removed_term_limit_closed(n)
+            # the lattice sum of the box monopole row, k = n struck out
+            limit, brute_args = engine.box_lattice_sum("monopole", n)
             extrapolated = series.removed_term_sum_limit(n)
-            trace = series.brute_sum(3, float(n), Parity.ALL, weight_k2=True,
-                                     exclude=n, tol=args.tol, max_terms=args.kmax)
+            trace = series.brute_sum(**brute_args, tol=args.tol, max_terms=args.kmax)
             checks.append(("series.removed_term", {"n": n}, limit, extrapolated, trace))
     elif args.p is None:
         raise UsageError("series needs --p")
@@ -252,12 +249,9 @@ def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
                                  max_terms=args.kmax)
         checks.append(("series.sum", {"p": args.p, "z": args.z, "parity": parity.value},
                        closed, closed, trace))
-    rows = [
-        _row(rule, RuleVerification(rule, None, params, analytic, closed, trace.value,
-                                    trace, args.tol))
-        for rule, params, analytic, closed, trace in checks
-    ]
-    return rows, []
+    return [_row(RuleVerification(rule, None, params, analytic, closed, trace.value,
+                                  trace, args.tol))
+            for rule, params, analytic, closed, trace in checks], []
 
 
 def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], list]:

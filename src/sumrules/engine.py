@@ -8,8 +8,9 @@ are compared against the analytic right-hand side:
   brute    direct truncated summation with a tail correction (box) or
            adaptive quadrature of the defining integral (delta well)
 
-`verify` returns one `RuleVerification` holding both routes; a rule only
-passes if both do.
+Every check but bethe, Stark shifts included, is a row of its model's
+table, whose two routes `_check` builds for `verify` and `stark_verify`
+alike; the one `RuleVerification` returned only passes if both routes do.
 The two routes share nothing past the matrix elements, which is the
 point: agreement is evidence the algebra and the numerics are each
 right, disagreement raises or flags instead of averaging away.
@@ -77,6 +78,7 @@ class RuleVerification:
     """One check of a rule, Stark shift or lattice sum: the analytic
     target, the value along each route, and the brute route's trace.
 
+    `rule` is the name the report prints ("trk", "stark", "series.sum").
     `closed` comes through identities (cotangent chains or exact moments
     and residues), `brute` from the truncated sum or adaptive quadrature
     that `trace` records.  `model` is None for a bare lattice sum, which
@@ -86,7 +88,7 @@ class RuleVerification:
     when both routes are within `tol` of `analytic`.
     """
 
-    rule_id: str
+    rule: str
     model: ModelKind | None
     params: Mapping[str, float]
     analytic: float
@@ -156,15 +158,23 @@ def half_line_moment(w: int, p: int) -> float:
     return math.gamma(w + 0.5) * math.gamma(p - w - 0.5) / (2.0 * math.gamma(p))
 
 
-# Delta-well rules but bethe: analytic value, the moment (c, p) of the
-# closed route (c / pi) * half_line_moment(1, p), and the quadrature
-# integrand over k >= 0.
-_DELTA_RULES = {
-    "closure": (0.5, (16.0, 4), lambda k: delta.x_me_bound(k) ** 2),
-    "trk": (0.5, (8.0, 3), lambda k: delta.energy_gap(k) * delta.x_me_bound(k) ** 2),
-    "monopole": (
-        1.0, (32.0, 4), lambda k: delta.energy_gap(k) * delta.x2_me_bound(k) ** 2
-    ),
+# Every check but bethe is a row of each model's table; `_check` scales
+# both routes by 1 for a rule and by -F^2 for stark.  Box rows: (p,
+# prefactor(n), offset) of offset + prefactor(n) * L(n), L being the p
+# lattice sum of `box_lattice_sum`.  -0.0 is no offset: 0.0 + -0.0 is +0.0.
+_BOX_CHECKS = {
+    "closure": (4, lambda n: 64.0 * n * n / _PI**4, 0.25),
+    "trk": (3, lambda n: 32.0 * n * n / _PI**2, -0.0),
+    "monopole": (3, lambda n: 32.0 * n * n / _PI**2, -0.0),
+    "stark": (5, lambda n: 2.0 * (8.0 * n / _PI**2) ** 2, -0.0),
+}
+# Delta-well rows: (c, p) of the closed route (c / pi) * half_line_moment(1, p),
+# and the quadrature integrand over k >= 0.
+_DELTA_CHECKS = {
+    "closure": (16.0, 4, lambda k: delta.x_me_bound(k) ** 2),
+    "trk": (8.0, 3, lambda k: delta.energy_gap(k) * delta.x_me_bound(k) ** 2),
+    "monopole": (32.0, 4, lambda k: delta.energy_gap(k) * delta.x2_me_bound(k) ** 2),
+    "stark": (32.0, 5, lambda k: delta.x_me_bound(k) ** 2 / delta.energy_gap(k)),
 }
 
 
@@ -179,7 +189,7 @@ def analytic_rhs(spec: SumRuleSpec, model: ModelKind) -> float:
         return x2 if spec.rule == "closure" else 2.0 * x2
     if spec.rule == "bethe":
         return 0.5 * spec.q * spec.q
-    return _DELTA_RULES[spec.rule][0]
+    return 1.0 if spec.rule == "monopole" else 0.5
 
 
 def bethe_component_closed(parity: Parity, q: float) -> float:
@@ -243,20 +253,39 @@ def bethe_components(q: float, tol: float = DEFAULT_TOL) -> BetheComponents:
 
 
 def box_lattice_sum(rule: str, n: int) -> tuple[float, dict]:
-    """The raw lattice sum behind box rule `rule` ("closure", "trk" or
-    "monopole") at state n: its closed value, and the `series.brute_sum`
-    arguments that sum it term by term.
+    """The raw lattice sum behind box check `rule` (a key of _BOX_CHECKS)
+    at state n: its closed value, and the `series.brute_sum` arguments
+    that sum it term by term.
     """
-    if rule in ("closure", "trk"):
-        p = 4 if rule == "closure" else 3
+    p = _BOX_CHECKS[rule][0]
+    if rule != "monopole":
         return series.weighted_k2_sum(p, n), dict(
             p=p, z=n, parity=series.opposite_parity(n), weight_k2=True
         )
-    # monopole: x^2 couples to every k, so the sum runs over the full
-    # lattice with the k = n term struck out.
+    # x^2 couples to every k, so the sum runs over the full lattice with
+    # the k = n term struck out.
     return series.removed_term_limit_closed(n), dict(
-        p=3, z=n, parity=Parity.ALL, weight_k2=True, exclude=n
+        p=p, z=n, parity=Parity.ALL, weight_k2=True, exclude=n
     )
+
+
+def _check(
+    rule: str, model: ModelKind, params: dict, analytic: float, scale: float,
+    tol: float, max_terms: int | None,
+) -> RuleVerification:
+    """Both routes of the row of `rule` in the table of `model` (at box
+    state params["n"]), each times `scale`, held against `analytic`."""
+    if model is ModelKind.ISW:
+        _, prefactor, offset = _BOX_CHECKS[rule]
+        closed, brute_args = box_lattice_sum(rule, params["n"])
+        trace = series.brute_sum(**brute_args, tol=tol, max_terms=max_terms)
+        factor = scale * prefactor(params["n"])
+        closed, brute = offset + factor * closed, offset + factor * trace.value
+    else:
+        c, p, integrand = _DELTA_CHECKS[rule]
+        trace = quadrature.integrate_semi_inf(integrand, tol=tol)
+        closed, brute = scale * (c / _PI) * half_line_moment(1, p), scale * trace.value
+    return RuleVerification(rule, model, params, analytic, closed, brute, trace, tol)
 
 
 def verify(
@@ -267,35 +296,18 @@ def verify(
 ) -> RuleVerification:
     """Check one rule along both routes against its analytic value.
 
-    On the box both routes run the rule's lattice sum, diagonal terms
-    included: the cotangent closed form and `series.brute_sum`, each
-    times the rule's matrix-element prefactor.  The delta well's initial
-    state is always the single bound level; its closed route is an exact
-    half-line moment, or for bethe the residue total with the parity
-    split from all three evaluators in `components`, and its brute route
-    is adaptive quadrature.
+    A rule but bethe is its model's table row, on the box a lattice sum
+    with its diagonal terms.  The delta well's initial state is always
+    the single bound level; bethe's closed route is the residue total,
+    with the parity split from all three evaluators in `components`,
+    and its brute route is adaptive quadrature.
     """
     if not isinstance(model, ModelKind):
         raise InvalidSpecError(f"model must be a ModelKind, got {model!r}")
     analytic = analytic_rhs(spec, model)
-    rule_id = f"{model.value}.{spec.rule}"
-    if model is ModelKind.ISW:
-        n = spec.n
-        closed, brute_args = box_lattice_sum(spec.rule, n)
-        trace = series.brute_sum(**brute_args, tol=tol, max_terms=max_terms)
-        if spec.rule == "closure":
-            offset, prefactor = 0.25, 64.0 * n * n / _PI**4
-        else:
-            offset, prefactor = 0.0, 32.0 * n * n / _PI**2
-        return RuleVerification(
-            rule_id, model, {"n": n}, analytic,
-            offset + prefactor * closed, offset + prefactor * trace.value, trace, tol,
-        )
     if spec.rule != "bethe":
-        _, (c, p), integrand = _DELTA_RULES[spec.rule]
-        trace = quadrature.integrate_semi_inf(integrand, tol=tol)
-        closed = (c / _PI) * half_line_moment(1, p)
-        return RuleVerification(rule_id, model, {}, analytic, closed, trace.value, trace, tol)
+        params = {"n": spec.n} if model is ModelKind.ISW else {}
+        return _check(spec.rule, model, params, analytic, 1.0, tol, max_terms)
     parts = bethe_components(spec.q, tol=tol)
     trace = QuadratureResult(
         value=parts.total_quadrature,
@@ -304,7 +316,7 @@ def verify(
         converged=parts.odd_trace.converged and parts.even_trace.converged,
     )
     return RuleVerification(
-        rule_id, model, {"q": spec.q}, analytic,
+        spec.rule, model, {"q": spec.q}, analytic,
         parts.total_residue, parts.total_quadrature, trace, tol, parts,
     )
 
@@ -373,37 +385,19 @@ def stark_verify(
 
     `n` names the unperturbed state: a quantum number for the box
     (default 1), and None for the delta well, whose only discrete state
-    is the bound level.  For the box the summation route
-    is the k^2-weighted p = 5 lattice sum, evaluated once through the
-    cotangent chain and once by brute truncation.  For the delta well
-    the perturbation integral is done exactly (half-line moment) and by
-    adaptive quadrature.
+    is the bound level.  Both routes are the model's stark row, the same
+    lattice sum or moment and quadrature as the rules, times -F^2.
     """
     F = float(F)
     if not math.isfinite(F):
         raise InvalidSpecError(f"field strength must be finite, got {F!r}")
     if model is ModelKind.ISW:
         n = check_state_index(1 if n is None else n, "box state")
-        analytic = isw.stark_shift2(n, F)
-        closed = isw.stark_shift2_series(n, F)
-        trace = series.brute_sum(
-            5, n, parity=series.opposite_parity(n), weight_k2=True,
-            tol=tol, max_terms=max_terms,
-        )
-        brute = -F * F * 2.0 * (8.0 * n / _PI**2) ** 2 * trace.value
-        params: dict[str, float] = {"n": n, "F": F}
-        rule_id = "isw.stark2"
+        analytic, params = isw.stark_shift2(n, F), {"n": n, "F": F}
     elif model is ModelKind.DELTA:
         if n is not None:
             raise InvalidSpecError(f"the delta well has one bound state; got state {n!r}")
-        analytic = delta.stark_shift2_delta(F)
-        closed = -F * F * 2.0 * (16.0 / _PI) * half_line_moment(1, 5)
-        trace = quadrature.integrate_semi_inf(
-            lambda k: delta.x_me_bound(k) ** 2 / delta.energy_gap(k), tol=tol
-        )
-        brute = -F * F * trace.value
-        params = {"F": F}
-        rule_id = "delta.stark2"
+        analytic, params = delta.stark_shift2_delta(F), {"F": F}
     else:
         raise InvalidSpecError(f"model must be a ModelKind, got {model!r}")
-    return RuleVerification(rule_id, model, params, analytic, closed, brute, trace, tol)
+    return _check("stark", model, params, analytic, -F * F, tol, max_terms)

@@ -2,8 +2,9 @@
 
 Energies are E_n = (n pi)^2 / 2 and eigenfunctions sqrt(2) sin(n pi x).
 The position matrix elements reduce to rational functions of n and k
-times 1/pi^2, which is what lets every sum rule collapse onto the
-lattice sums in `series`:
+times 1/pi^2, which is what lets every sum rule and the Stark shift
+collapse onto the lattice sums in `series`, times the prefactors of
+`engine`'s table of checks:
 
     <n|x|k> = -(8 n k / pi^2) / (k^2 - n^2)^2   for n + k odd, else 0
     <n|x^2|k> = (-1)^(k-n) (8 n k / pi^2) / (k^2 - n^2)^2   for k != n
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 
-from . import series
 from .core import check_state_index
 
 _PI = math.pi
@@ -49,16 +49,10 @@ def x2_me(n: int, k: int) -> float:
 def stark_shift2(n: int, F: float) -> float:
     """Second-order shift -F^2 (15 - (n pi)^2) / (24 pi^2 n^4).
 
-    Negative for the ground state, positive from n = 2 up.  The
-    companion `stark_shift2_series` rebuilds the same value from the
-    k^2-weighted lattice sum; the two must agree identically.
+    Negative for the ground state, positive from n = 2 up.
+    `engine.stark_verify` holds it against both routes of the box stark
+    check, built from the k^2-weighted p = 5 lattice sum.
     """
     n = check_state_index(n)
     return -F * F * (15.0 - (n * _PI) ** 2) / (24.0 * _PI**2 * n**4)
 
-
-def stark_shift2_series(n: int, F: float) -> float:
-    """Second-order shift via -F^2 * 2 (8n/pi^2)^2 sum_k k^2/(k^2-n^2)^5."""
-    n = check_state_index(n)
-    prefactor = 2.0 * (8.0 * n / _PI**2) ** 2
-    return -F * F * prefactor * series.weighted_k2_sum(5, n)

@@ -44,6 +44,8 @@ from .core import (
 )
 from .series import Parity
 
+_IM_TOL = 1e-12  # largest |Im| / |value| of a consistent contour result
+
 # Exact complex number: (real, imag) as Fractions.  Floats convert
 # exactly, so nothing is lost on the way in.
 _QC = tuple[Fraction, Fraction]
@@ -231,13 +233,13 @@ def _uhp_residue_sum(f: FactoredRational) -> _QC:
     return total
 
 
-def contour_integral_uhp(f: FactoredRational, im_tol: float = 1e-12) -> float:
+def contour_integral_uhp(f: FactoredRational) -> float:
     """Real-line integral of f by closing through the upper half plane.
 
     Requires deg(numerator) <= total pole order - 2 (otherwise the arc
     contribution does not vanish) and a conjugate-symmetric pole set so
     f is real on the real axis.  The imaginary part of 2 pi i times the
-    residue sum must cancel to |Im| <= im_tol * |value|; anything larger
+    residue sum must cancel to |Im| <= _IM_TOL * |value|; anything larger
     signals an inconsistent integrand and raises.
     """
     if f.degree > f.total_pole_order - 2:
@@ -251,7 +253,7 @@ def contour_integral_uhp(f: FactoredRational, im_tol: float = 1e-12) -> float:
     # integrands real on the axis, so Im(value) is exactly zero then.
     value = complex(-2.0 * math.pi * float(total[1]), 2.0 * math.pi * float(total[0]))
     magnitude = abs(value)
-    if magnitude > 0 and abs(value.imag) > im_tol * magnitude:
+    if magnitude > 0 and abs(value.imag) > _IM_TOL * magnitude:
         raise InconsistencyError(
             f"contour result {value} has a non-cancelling imaginary part"
         )

@@ -388,25 +388,32 @@ def _term_chunk(
     return values
 
 
-def _tail_integral(X: float, p: int, z2: float, weight_k2: bool) -> tuple[float, float]:
+def _tail_integral(
+    X: float, step: int, p: int, z2: float, weight_k2: bool
+) -> tuple[float, float]:
     """(integral_X^inf of the term function, truncation allowance).
 
     Expands (x^2 - z^2)^-p in powers of z^2/x^2 and integrates term by
-    term; valid once X is safely beyond |z|.  Returns (0, crude bound)
-    when the expansion is not trusted and (0, inf) once the pole sits
-    at or beyond the cutoff, where no finite tail bound exists.
+    term; valid once X is safely beyond |z|.  The allowance also covers
+    the midpoint rule's error over lattice spacing `step`, through a
+    bound on the term function's derivative at X.  Returns (0, crude
+    bound) when the expansion is not trusted and (0, inf) once the pole
+    sits at or beyond the cutoff, where no finite tail bound exists.
     """
     w = 1 if weight_k2 else 0
     ratio = z2 / (X * X)
     if ratio > 0.5:
         # pole at or past the cutoff: no correction, no finite bound
         return 0.0, math.inf
+    base = X * X - z2
+    derivative = abs(X ** (2 * w - 1) * (2 * w * base - 2 * p * X * X) / base ** (p + 1))
+    midpoint = 2.0 * (step * derivative / 24.0)
     if ratio > 0.25:
         # (1 - ratio)^-p <= 2^p here, so a rescaled power integral bounds
         # the true one; not tight, only reached when max_terms ran out
         exponent = 2 * p - 2 * w - 1
         crude = 2.0 ** (p + 1) * X ** (-exponent) / exponent
-        return 0.0, abs(crude)
+        return 0.0, abs(crude) + midpoint
     acc = 0.0
     lead = X ** (-(2 * p - 2 * w - 1))
     term_power = 1.0
@@ -419,13 +426,7 @@ def _tail_integral(X: float, p: int, z2: float, weight_k2: bool) -> tuple[float,
         if last <= 1e-17 * abs(acc):
             break
         term_power *= ratio
-    return acc, 2.0 * last
-
-
-def _term_derivative_bound(X: float, p: int, z2: float, weight_k2: bool) -> float:
-    w = 1 if weight_k2 else 0
-    base = X * X - z2
-    return abs(X ** (2 * w - 1) * (2 * w * base - 2 * p * X * X) / base ** (p + 1))
+    return acc, 2.0 * last + midpoint
 
 
 def brute_sum(
@@ -513,9 +514,7 @@ def brute_sum(
         if not (clear or capped):
             continue
         X = (k_next - step) + step / 2.0
-        integral, trunc = _tail_integral(X, p, z2, weight_k2)
-        derivative_allowance = step * _term_derivative_bound(X, p, z2, weight_k2) / 24.0
-        truncation = trunc + 2.0 * derivative_allowance
+        integral, truncation = _tail_integral(X, step, p, z2, weight_k2)
         residual = truncation + roundoff()
         value = total + integral / step
         bound = tol * max(abs(value), REL_ERR_FLOOR)

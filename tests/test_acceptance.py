@@ -77,7 +77,7 @@ def test_criterion_04_isw_stark():
             target = -(15.0 - n * n * PI * PI) / (24.0 * PI**2 * n**4)
             shift = isw.stark_shift2(n, 1.0)
             assert rel(shift, target) <= 1e-12
-            assert rel(isw.stark_shift2_series(n, 1.0), target) <= 1e-10
+            assert rel(engine.stark_verify(ModelKind.ISW, n, 1.0).closed, target) <= 1e-10
             if n == 1:
                 assert shift < 0.0
             else:

@@ -534,6 +534,26 @@ def test_bad_env_kmax_is_usage_error(monkeypatch, capsys):
     assert KMAX_ENV_VAR in err
 
 
+@pytest.mark.parametrize("argv", [
+    "verify --model isw --rule trk --n 2 --kmax 1",
+    "stark --model isw --n 2 --kmax 1",
+    "sweep --model isw --rule trk --n 1,2 --kmax 1",
+])
+def test_kmax_cutoff_on_pole_prints_unconverged_row(capsys, argv):
+    # one odd-lattice term leaves the cutoff at X = 2 = n: the n = 2 row
+    # reports an infinite tail bound and fails, with no traceback
+    code, out, err = run_cli(capsys, *argv.split(), "--format", "json")
+    rows = json.loads(out)
+    assert code == 1
+    assert err == ""
+    last = rows[-1]
+    assert last["params"]["n"] == 2
+    assert last["passed"] is False
+    assert last["trace"]["terms_used"] == 1
+    assert last["trace"]["tail_estimate"] == math.inf
+    assert last["trace"]["converged"] is False
+
+
 # ------------------------------------------------------------------ end to end
 
 

@@ -27,12 +27,24 @@ CLOSURE = SumRuleSpec("closure")
 TRK = SumRuleSpec("trk")
 MONOPOLE = SumRuleSpec("monopole")
 
-# raw lattice tail estimates scale into rule units through these
+# raw lattice tail estimates scale into rule units through these, the
+# stark one times F^2
 ISW_PREFACTOR = {
     "closure": lambda n: 64.0 * n * n / PI**4,
     "trk": lambda n: 32.0 * n * n / PI**2,
     "monopole": lambda n: 32.0 * n * n / PI**2,
+    "stark": lambda n: 2.0 * (8.0 * n / PI**2) ** 2,
 }
+STARK_FIELDS = (1e-3, 0.5, 3.0, 1e3)
+
+
+def saturation_checks(rule, model, n=None):
+    """(check at tol 1e-9, F^2) pairs: one with F^2 = 1 for a sum rule,
+    one per field of STARK_FIELDS for stark."""
+    if rule == "stark":
+        return [(stark_verify(model, n, F, tol=1e-9), F * F) for F in STARK_FIELDS]
+    spec = SumRuleSpec(rule) if n is None else SumRuleSpec(rule, n=n)
+    return [(verify(spec, model, tol=1e-9), 1.0)]
 
 
 def test_spec_validation():
@@ -109,30 +121,29 @@ def test_lhs_delta_examples():
     assert check.closed == pytest.approx(0.5, rel=1e-12, abs=0)
 
 
-@pytest.mark.parametrize("rule", ["closure", "trk", "monopole"])
+@pytest.mark.parametrize("rule", ["closure", "trk", "monopole", "stark"])
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
 def test_isw_saturation(rule, n):
     """Closed path hits the analytic value at 1e-12; the brute path
     lands within its own (rescaled) tail estimate."""
-    spec = SumRuleSpec(rule, n=n)
-    report = verify(spec, ModelKind.ISW, tol=1e-9)
-    assert report.passed
-    assert report.rel_err_closed < 1e-12
-    scaled_tail = ISW_PREFACTOR[rule](n) * report.trace.tail_estimate
-    assert abs(report.brute - report.analytic) <= scaled_tail + 1e-13 * abs(report.analytic)
+    for report, field in saturation_checks(rule, ModelKind.ISW, n):
+        assert report.passed
+        assert report.rel_err_closed < 1e-12
+        scaled_tail = field * ISW_PREFACTOR[rule](n) * report.trace.tail_estimate
+        assert abs(report.brute - report.analytic) <= scaled_tail + 1e-13 * abs(report.analytic)
 
 
-@pytest.mark.parametrize("rule", ["closure", "trk", "monopole"])
+@pytest.mark.parametrize("rule", ["closure", "trk", "monopole", "stark"])
 def test_delta_saturation(rule):
-    report = verify(SumRuleSpec(rule), ModelKind.DELTA, tol=1e-9)
-    assert report.passed
-    assert report.rel_err_closed < 1e-12
-    assert abs(report.brute - report.analytic) <= report.trace.est_error + 1e-13
+    for report, field in saturation_checks(rule, ModelKind.DELTA):
+        assert report.passed
+        assert report.rel_err_closed < 1e-12
+        assert abs(report.brute - report.analytic) <= field * (report.trace.est_error + 1e-13)
 
 
 def test_verify_report_structure():
     report = verify(SumRuleSpec("trk", n=3), ModelKind.ISW)
-    assert report.rule_id == "isw.trk"
+    assert report.rule == "trk"
     assert report.params == {"n": 3}
     assert report.analytic == 0.5
     assert report.tol == DEFAULT_TOL
@@ -140,7 +151,7 @@ def test_verify_report_structure():
     assert report.rel_err_brute == abs(report.brute - 0.5) / 0.5
     assert report.brute == (32.0 * 3 * 3 / PI**2) * report.trace.value
     bethe = verify(SumRuleSpec("bethe", q=2.0), ModelKind.DELTA)
-    assert bethe.rule_id == "delta.bethe"
+    assert bethe.rule == "bethe"
     assert bethe.params == {"q": 2.0}
     with pytest.raises(InvalidSpecError):
         verify(TRK, "isw")
@@ -248,6 +259,60 @@ def test_delta_quadratures_are_frozen_bit_for_bit(name, q, tol, value_hex, est_h
     )
 
 
+# float.hex of (closed, brute, brute-sum value, tail_estimate) and the
+# terms used of box records, sum rules at F None, frozen before stark
+# joined the table of checks; the F = 0 rows pin the sign of a zero shift
+_BOX_HEX = [
+    ("closure", 1, None, "0x1.2174f6910fc71p-2", "0x1.2174f6910fc72p-2", "0x1.976028cf0df52p-5", "0x1.a41b2a9516a76p-52", 1024),
+    ("closure", 2, None, "0x1.485d3da443f1cp-2", "0x1.485d3da443f1dp-2", "0x1.b88eeddc72411p-6", "0x1.c653664b56285p-53", 1024),
+    ("closure", 3, None, "0x1.4f91bc94dbd3cp-2", "0x1.4f91bc94dbd3cp-2", "0x1.ae9932392c6b4p-7", "0x1.bc0dfdc9382c8p-54", 1024),
+    ("closure", 7, None, "0x1.54464e2cc1a0cp-2", "0x1.54464e2cc1a0cp-2", "0x1.4f10e066833eep-9", "0x1.59896f62db5d7p-56", 1024),
+    ("closure", 100, None, "0x1.5554015b196c2p-2", "0x1.5554015b196c2p-2", "0x1.a98f99c512b5ap-17", "0x1.b6e430cfda517p-64", 1024),
+    ("closure", 1000, None, "0x1.555551eefdb1bp-2", "0x1.555551eefdb1cp-2", "0x1.106019dafcabfp-23", "0x1.21505a09458d8p-70", 1024),
+    ("trk", 1, None, "0x1.0000000000000p-1", "0x1.0000000000001p-1", "0x1.3bd3cc9be45dfp-3", "0x1.4b046c9f62b3dp-50", 1024),
+    ("trk", 2, None, "0x1.0000000000000p-1", "0x1.ffffffffffffdp-2", "0x1.3bd3cc9be45dcp-5", "0x1.e667716291074p-51", 1024),
+    ("trk", 3, None, "0x1.0000000000002p-1", "0x1.0000000000004p-1", "0x1.18bc4418cafe6p-6", "0x1.615a96defb49cp-51", 1024),
+    ("trk", 7, None, "0x1.ffffffffffffcp-2", "0x1.000000000000fp-1", "0x1.9c82599c97febp-9", "0x1.4cfddc4cd10d1p-52", 1024),
+    ("trk", 100, None, "0x1.0000000000002p-1", "0x1.00000000000cdp-1", "0x1.02b9cb40380e8p-16", "0x1.78d5be9443c18p-56", 2048),
+    ("trk", 1000, None, "0x1.ffffffffffffdp-2", "0x1.00000000001a4p-1", "0x1.4b2b4199e16bap-23", "0x1.3645c1cc58b8bp-59", 8192),
+    ("monopole", 1, None, "0x1.2174f6910fc71p-1", "0x1.2174f6910fc78p-1", "0x1.651a6625307dbp-3", "0x1.c56365309aecfp-50", 1024),
+    ("monopole", 2, None, "0x1.485d3da443f1cp-1", "0x1.485d3da443f2cp-1", "0x1.951a6625307e6p-5", "0x1.5a03090da22a2p-50", 1024),
+    ("monopole", 3, None, "0x1.4f91bc94dbd3cp-1", "0x1.4f91bc94dbd65p-1", "0x1.6ffe2e8c839b3p-6", "0x1.13fbb14037dbcp-50", 1024),
+    ("monopole", 7, None, "0x1.54464e2cc1a0dp-1", "0x1.54464e2cc1af0p-1", "0x1.12273450283dap-8", "0x1.5b0f36168de88p-51", 1024),
+    ("monopole", 100, None, "0x1.5554015b196c3p-1", "0x1.5554015b1971fp-1", "0x1.58f66212073a3p-16", "0x1.b40f8f335ab75p-56", 4096),
+    ("monopole", 1000, None, "0x1.555551eefdb1bp-1", "0x1.555551eefdfedp-1", "0x1.b98efdbc9bbafp-23", "0x1.6c63b100cf7ecp-59", 16384),
+    ("stark", 1, 0.0, "-0x0.0p+0", "-0x0.0p+0", "0x1.0e0d9e824f924p-6", "0x1.167e0b7662142p-53", 1024),
+    ("stark", 1, 0.001, "-0x1.74199c6588919p-26", "-0x1.74199c658891fp-26", "0x1.0e0d9e824f924p-6", "0x1.167e0b7662142p-53", 1024),
+    ("stark", 1, 7.3, "-0x1.277a702282b0fp+0", "-0x1.277a702282b13p+0", "0x1.0e0d9e824f924p-6", "0x1.167e0b7662142p-53", 1024),
+    ("stark", 1, 1000.0, "-0x1.526c4add4b403p+14", "-0x1.526c4add4b408p+14", "0x1.0e0d9e824f924p-6", "0x1.167e0b7662142p-53", 1024),
+    ("stark", 1, 1e-160, "-0x0.000000000002cp-1022", "-0x0.000000000002cp-1022", "0x1.0e0d9e824f924p-6", "0x1.167e0b7662142p-53", 1024),
+    ("stark", 2, 0.0, "0x0.0p+0", "0x0.0p+0", "-0x1.421f8121fc9e2p-10", "0x1.d933166fb50dep-55", 1024),
+    ("stark", 2, 0.001, "0x1.bbd88cfd5b8e3p-28", "0x1.bbd88cfd5b8dbp-28", "-0x1.421f8121fc9e2p-10", "0x1.d933166fb50dep-55", 1024),
+    ("stark", 2, 7.3, "0x1.60734f7c7e0cdp-2", "0x1.60734f7c7e0c6p-2", "-0x1.421f8121fc9e2p-10", "0x1.d933166fb50dep-55", 1024),
+    ("stark", 2, 1000.0, "0x1.93aced48ad30cp+12", "0x1.93aced48ad305p+12", "-0x1.421f8121fc9e2p-10", "0x1.d933166fb50dep-55", 1024),
+    ("stark", 2, 1e-160, "0x0.000000000000dp-1022", "0x0.000000000000dp-1022", "-0x1.421f8121fc9e2p-10", "0x1.d933166fb50dep-55", 1024),
+    ("stark", 7, 0.0, "0x0.0p+0", "0x0.0p+0", "-0x1.ad63efcdeea55p-17", "0x1.89918335a8867p-60", 1024),
+    ("stark", 7, 0.001, "0x1.c4fad22b6ba27p-31", "0x1.c4fad22b6ba13p-31", "-0x1.ad63efcdeea55p-17", "0x1.89918335a8867p-60", 1024),
+    ("stark", 7, 7.3, "0x1.67b4174248043p-5", "0x1.67b4174248033p-5", "-0x1.ad63efcdeea55p-17", "0x1.89918335a8867p-60", 1024),
+    ("stark", 7, 1000.0, "0x1.9bfb923f5ea38p+9", "0x1.9bfb923f5ea25p+9", "-0x1.ad63efcdeea55p-17", "0x1.89918335a8867p-60", 1024),
+    ("stark", 7, 1e-160, "0x0.0000000000002p-1022", "0x0.0000000000002p-1022", "-0x1.ad63efcdeea55p-17", "0x1.89918335a8867p-60", 1024),
+]
+
+
+@pytest.mark.parametrize("rule, n, F, closed_hex, brute_hex, value_hex, tail_hex, terms", _BOX_HEX)
+def test_box_records_are_frozen_bit_for_bit(rule, n, F, closed_hex, brute_hex, value_hex,
+                                            tail_hex, terms):
+    if F is None:
+        check = verify(SumRuleSpec(rule, n=n), ModelKind.ISW)
+    else:
+        check = stark_verify(ModelKind.ISW, n, F)
+    trace = check.trace
+    assert (check.closed.hex(), check.brute.hex(), trace.value.hex(),
+            trace.tail_estimate.hex(), trace.terms_used) == (
+        closed_hex, brute_hex, value_hex, tail_hex, terms
+    )
+
+
 def test_bethe_small_q_limits():
     """B_o exhausts the rule and B_e dies out as q -> 0."""
     q = 1e-3
@@ -340,7 +405,7 @@ def test_stark_verify_isw():
     assert report.analytic == pytest.approx(-(15.0 - PI**2) / (24.0 * PI**2), rel=1e-14, abs=0)
     assert report.rel_err_closed < 1e-12
     assert report.rel_err_brute < 1e-10
-    assert report.rule_id == "isw.stark2"
+    assert report.rule == "stark"
     assert report.params == {"n": 1, "F": 1.0}
 
 

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumrules import isw
-from sumrules.core import DomainError, InvalidSpecError
+from sumrules import engine, isw
+from sumrules.core import DomainError, InvalidSpecError, ModelKind
 from sumrules.quadrature import integrate_interval
 
 from oracles import isw_psi
@@ -110,7 +110,7 @@ def test_stark_second_order_values_and_signs():
 def test_stark_series_route_matches_closed_form():
     for n in range(1, 9):
         for F in (0.5, 1.0, 3.0):
-            assert isw.stark_shift2_series(n, F) == pytest.approx(
+            assert engine.stark_verify(ModelKind.ISW, n, F).closed == pytest.approx(
                 isw.stark_shift2(n, F), rel=1e-12, abs=0
             )
 

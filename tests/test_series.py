@@ -224,6 +224,25 @@ def test_tail_estimate_infinite_when_pole_past_cutoff():
     assert math.isinf(trace.tail_estimate)
 
 
+@pytest.mark.parametrize("p, z, parity, cap", [
+    (3, 2, Parity.ODD, 1),  # trk at n = 2: k = 1, cutoff X = 2
+    (4, 2, Parity.ODD, 1),  # closure at n = 2
+    (5, 2, Parity.ODD, 1),  # stark at n = 2
+    (3, 5, Parity.EVEN, 2),  # k = 2, 4, cutoff X = 5
+])
+def test_tail_estimate_infinite_when_cap_puts_cutoff_on_pole(p, z, parity, cap):
+    # X = last k + step/2 lands exactly on |z|, where the term function
+    # and its derivative bound blow up: an unconverged trace, no crash
+    trace = brute_sum(p, z, parity, weight_k2=True, max_terms=cap)
+    assert not trace.converged
+    assert trace.terms_used == cap
+    assert math.isinf(trace.tail_estimate)
+    start, step = (1, 2) if parity is Parity.ODD else (2, 2)
+    assert trace.value == math.fsum(
+        k * k / (k * k - z * z) ** p for k in range(start, start + step * cap, step)
+    )
+
+
 def test_brute_respects_max_terms():
     trace = brute_sum(1, 0.5, max_terms=137)
     assert trace.terms_used <= 137
