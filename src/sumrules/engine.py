@@ -239,7 +239,7 @@ def bethe_components(q: float, tol: float = DEFAULT_TOL) -> BetheComponents:
         res = _bethe_residue_component(parity, q)
         quad = _bethe_quadrature_component(parity, q, tol)
         dev = rel_err(res, quad.value)
-        if dev > _CROSS_CHECK_TOL:
+        if not dev <= _CROSS_CHECK_TOL:  # a NaN deviation fails too
             raise InconsistencyError(
                 f"Bethe {parity.value} channel at q={q}: residue {res!r} vs "
                 f"quadrature {quad.value!r} (rel dev {dev:.3e})"

@@ -54,5 +54,21 @@ def stark_shift2(n: int, F: float) -> float:
     check, built from the k^2-weighted p = 5 lattice sum.
     """
     n = check_state_index(n)
-    return -F * F * (15.0 - (n * _PI) ** 2) / (24.0 * _PI**2 * n**4)
+
+    def shift(field: float) -> float:
+        return -field * field * (15.0 - (n * _PI) ** 2) / (24.0 * _PI**2 * n**4)
+
+    value = shift(F)
+    if not math.isinf(value):
+        return value
+    # -F^2 (15 - (n pi)^2) overflowed before the division.  Redo it on
+    # the mantissa of F = m 2^e: scaling by 2^(2e) is exact at every
+    # step, so this is the value an unbounded exponent would give, and
+    # only ldexp can overflow, where the true shift does too.
+    m, e = math.frexp(F)
+    value = shift(m)
+    try:
+        return math.ldexp(value, 2 * e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 

@@ -13,11 +13,12 @@ the pole z_i = z0 of order m = m_i is
 
 the t^(m-1) coefficient of a product of truncated Taylor series at the
 pole: N's from synthetic division, each other pole's from the binomial
-series.  The algebra runs over exact Gaussian rationals (every input
-float converts losslessly to a Fraction), so residue sums cancel
-identically: the real-line integral comes out with at most one rounding
-at the final float conversion, and the reality check on 2 pi i times the
-residue sum is exact rather than a roundoff fight.
+series.  The algebra runs over exact Gaussian rationals held as plain
+ints (every input float is a dyadic rational, taken in exactly by
+float.as_integer_ratio), so residue sums cancel identically: the
+real-line integral comes out with at most one rounding at the final
+float conversion, and the reality check on 2 pi i times the residue sum
+is exact rather than a roundoff fight.
 
 Two identities halve the exact work of the Bethe contours and leave the
 exact residue sum, hence the float, as it was.  Mirror rule: when
@@ -33,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import (
@@ -46,28 +46,42 @@ from .series import Parity
 
 _IM_TOL = 1e-12  # largest |Im| / |value| of a consistent contour result
 
-# Exact complex number: (real, imag) as Fractions.  Floats convert
-# exactly, so nothing is lost on the way in.
-_QC = tuple[Fraction, Fraction]
-_QC_ZERO = (Fraction(0), Fraction(0))
-_QC_ONE = (Fraction(1), Fraction(0))
+# Exact complex number: (a, b, d) stands for (a + b i) / d, with int
+# parts and d > 0.  Sums and products leave it unreduced; a gcd
+# reduction runs only where a value leaves a function.
+_QC = tuple[int, int, int]
+_QC_ZERO = (0, 0, 1)
+_QC_ONE = (1, 0, 1)
 
 
 def _qc(z: complex) -> _QC:
-    return (Fraction(z.real), Fraction(z.imag))
+    a, da = z.real.as_integer_ratio()
+    b, db = z.imag.as_integer_ratio()
+    # both denominators are powers of two: the larger is a common one
+    if da < db:
+        return (a * (db // da), b, db)
+    return (a, b * (da // db), da)
 
 
-def _qc_add(a: _QC, b: _QC) -> _QC:
-    return (a[0] + b[0], a[1] + b[1])
+def _qc_reduce(x: _QC) -> _QC:
+    g = math.gcd(*x)
+    return (x[0] // g, x[1] // g, x[2] // g)
 
 
-def _qc_mul(a: _QC, b: _QC) -> _QC:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+def _qc_add(x: _QC, y: _QC) -> _QC:
+    if x[2] == y[2]:
+        return (x[0] + y[0], x[1] + y[1], x[2])
+    return (x[0] * y[2] + y[0] * x[2], x[1] * y[2] + y[1] * x[2], x[2] * y[2])
 
 
-def _qc_div(a: _QC, b: _QC) -> _QC:
-    norm = b[0] * b[0] + b[1] * b[1]
-    return ((a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm)
+def _qc_mul(x: _QC, y: _QC) -> _QC:
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0], x[2] * y[2])
+
+
+def _qc_inv(x: _QC) -> _QC:
+    # d / (a + b i) = d (a - b i) / (a^2 + b^2)
+    a, b, d = x
+    return _qc_reduce((d * a, -d * b, a * a + b * b))
 
 
 @dataclass(frozen=True)
@@ -156,7 +170,7 @@ def _other_poles_series(
     for j, (other, m) in enumerate(poles):
         if j == pole_index:
             continue
-        inv = _qc_div(_QC_ONE, _qc_add(z0, _qc(-other)))
+        inv = _qc_inv(_qc_add(z0, _qc(-other)))
         # (d + t)^(-m) = sum_k C(m+k-1, k) (-1)^k d^(-m-k) t^k
         power = _QC_ONE
         for _ in range(m):
@@ -164,7 +178,7 @@ def _other_poles_series(
         factor = []
         for k in range(order):
             c = (-1) ** k * math.comb(m + k - 1, k)
-            factor.append((c * power[0], c * power[1]))
+            factor.append((c * power[0], c * power[1], power[2]))
             power = _qc_mul(power, inv)
         if series is None:
             series = factor
@@ -176,7 +190,7 @@ def _other_poles_series(
         series = product
     if series is None:
         return (_QC_ONE,) + (_QC_ZERO,) * (order - 1)
-    return tuple(series)
+    return tuple(_qc_reduce(c) for c in series)
 
 
 def _residue_at_exact(f: FactoredRational, pole_index: int) -> _QC:
@@ -228,7 +242,7 @@ def _uhp_residue_sum(f: FactoredRational) -> _QC:
             continue
         res = _residue_at_exact(f, index)
         if mirror and location.real > 0:
-            res = (Fraction(0), 2 * res[1])
+            res = (0, 2 * res[1], res[2])
         total = _qc_add(total, res)
     return total
 
@@ -248,10 +262,11 @@ def contour_integral_uhp(f: FactoredRational) -> float:
             f"{f.total_pole_order}; the closing arc would not vanish"
         )
     _check_conjugate_symmetry(f)
-    total = _uhp_residue_sum(f)
-    # 2 pi i (a + b i) = -2 pi b + 2 pi a i; a vanishes identically for
-    # integrands real on the axis, so Im(value) is exactly zero then.
-    value = complex(-2.0 * math.pi * float(total[1]), 2.0 * math.pi * float(total[0]))
+    # 2 pi i (a + b i) / d = (-2 pi b + 2 pi a i) / d; a vanishes
+    # identically for integrands real on the axis, so Im(value) is
+    # exactly zero then.  Int true division rounds once, correctly.
+    a, b, d = _uhp_residue_sum(f)
+    value = complex(-2.0 * math.pi * (b / d), 2.0 * math.pi * (a / d))
     magnitude = abs(value)
     if magnitude > 0 and abs(value.imag) > _IM_TOL * magnitude:
         raise InconsistencyError(

@@ -89,5 +89,5 @@ def residue_at(f: FactoredRational, pole_index: int) -> complex:
     Taylor coefficient."""
     if not 0 <= pole_index < len(f.poles):
         raise InvalidSpecError(f"pole_index {pole_index} out of range")
-    re, im = _residue_at_exact(f, pole_index)
-    return complex(float(re), float(im))
+    re, im, d = _residue_at_exact(f, pole_index)
+    return complex(re / d, im / d)

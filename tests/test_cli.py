@@ -443,6 +443,26 @@ def test_series_pole_is_computation_failure(capsys):
     assert "failure:" in err
 
 
+@pytest.mark.parametrize("q", ["1e100", "1e300"])
+def test_bethe_prefactor_overflow_is_a_stated_failure(capsys, q):
+    # the odd channel's residue prefactor 4 q^2 / pi is inf at 1e300, so
+    # the cross-check sees a NaN deviation; it must fail, not pass on
+    code, out, err = run_cli(capsys, "verify", "--model", "delta", "--q", q)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("failure: Bethe odd channel at q=")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [("--n", "1", "--F", "1e154"), ("--n", "1000", "--F", "1e151")])
+def test_stark_isw_analytic_survives_an_overflowing_intermediate(capsys, argv):
+    code, out, _ = run_cli(capsys, "stark", "--model", "isw", *argv, "--format", "json")
+    assert code == 0
+    (row,) = json.loads(out)
+    assert row["passed"] is True
+    assert math.isfinite(row["analytic"])
+
+
 def test_sweep_delta_rejected(capsys):
     code, _, err = run_cli(capsys, "sweep", "--model", "delta", "--n", "1")
     assert code == 2

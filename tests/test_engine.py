@@ -211,6 +211,19 @@ def test_bethe_quadrature_inside_est_error_at_loose_tol_large_q(tol):
     assert _bethe_bound_misses([q for q in BETHE_Q_GRID if q >= 158.0], tol) == []
 
 
+def test_bethe_residue_channels_match_closed_forms_to_the_last_bits():
+    """The residue route rounds once from an exact sum and the closed
+    form a handful of times, so the two agree to a few ulps over the
+    whole q range."""
+    worst = 0.0
+    for q in BETHE_Q_GRID:
+        for parity in (Parity.ODD, Parity.EVEN):
+            closed = bethe_component_closed(parity, q)
+            res = engine._bethe_residue_component(parity, q)
+            worst = max(worst, abs(res - closed) / closed)
+    assert worst <= 1e-15
+
+
 # float.hex of (value, est_error) and the evaluation count of every
 # delta-well quadrature, frozen before the panels were batched into one
 # integrand call per bisection; batching must not move a bit

@@ -121,6 +121,63 @@ def test_stark_scales_quadratically():
     )
 
 
+# float.hex of stark_shift2(n, F) at F = 1e-3, 1e-2, ..., 1e3, 1e-150,
+# 1e150, frozen before the overflow guard; the shift is even in F
+_STARK_FIELDS_HEX = (1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3, 1e-150, 1e150)
+_STARK_SHIFT_HEX = {
+    1: ("-0x1.74199c6588920p-26", "-0x1.22b4022f52b21p-19", "-0x1.c6394369f1365p-13",
+        "-0x1.62dcbcaac4726p-6", "-0x1.153c736569795p+1", "-0x1.b12e744e74cdap+7",
+        "-0x1.526c4add4b40ap+14", "-0x1.db4c25a12b49cp-1003", "-0x1.08f1ab9d0ee41p+991"),
+    2: ("0x1.bbd88cfd5b8d2p-28", "0x1.5ac12e25ef864p-21", "0x1.0ee6ec0da320fp-14",
+        "0x1.a748d0d54ee37p-8", "0x1.4ab0e326a5a1bp-1", "0x1.025a317631665p+6",
+        "0x1.93aced48ad2fep+12", "0x1.1b78777b69cc6p-1004", "0x1.3c075d98c3a0ap+989"),
+    7: ("0x1.c4fad22b6ba20p-31", "0x1.61e3f431ec16ap-24", "0x1.147a16c70071bp-17",
+        "0x1.affec396f0b19p-11", "0x1.517f08cdec0acp-4", "0x1.07ab3ee0e0686p+3",
+        "0x1.9bfb923f5ea32p+9", "0x1.214dd8e24b978p-1007", "0x1.428844efc0208p+986"),
+    1000: ("0x1.774ca5624f9b1p-45", "0x1.2533e134ce313p-38", "0x1.ca210fe2822cfp-32",
+           "0x1.65e9d468f5b30p-25", "0x1.179eadf1fff3ep-18", "0x1.b4e7efca1fed0p-12",
+           "0x1.55553355e8f13p-5", "0x1.df6254dc93bafp-1022", "0x1.0b38d7bc719e3p+972"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_STARK_SHIFT_HEX))
+def test_stark_shift_values_are_frozen_bit_for_bit(n):
+    for F, value_hex in zip(_STARK_FIELDS_HEX, _STARK_SHIFT_HEX[n]):
+        assert isw.stark_shift2(n, F).hex() == value_hex
+        assert isw.stark_shift2(n, -F).hex() == value_hex
+
+
+@pytest.mark.parametrize(
+    "n, F, value_hex",
+    [
+        (1, 7.184746856209052e-154, "-0x0.80a27faeb8f1dp-1022"),
+        (2, 1.685840880655736e-153, "0x0.d33199bb2fe0bp-1022"),
+        (7, 3.3736233407742294e-153, "0x0.6be4e3b51f28bp-1022"),
+    ],
+)
+def test_stark_shift_keeps_its_rounding_where_subnormal(n, F, value_hex):
+    # frozen before the overflow guard; a power-of-two rescaling here
+    # would round twice and move the last bit
+    assert isw.stark_shift2(n, F).hex() == value_hex
+
+
+@pytest.mark.parametrize(
+    "n, F", [(1, 6e153), (1, 1e154), (1, -5e154), (2, 1.05e154), (1000, 1e151), (1000, 6e157)]
+)
+def test_stark_shift_is_finite_where_only_an_intermediate_overflows(n, F):
+    # F^2 (15 - (n pi)^2) overflows, the shift does not: it must be the
+    # shift at F 2^-300, scaled by 2^600, to the bit
+    value = isw.stark_shift2(n, F)
+    assert math.isfinite(value)
+    assert value == math.ldexp(isw.stark_shift2(n, math.ldexp(F, -300)), 600)
+
+
+def test_stark_shift_overflows_only_with_the_true_value():
+    assert isw.stark_shift2(1, 1e155) == -math.inf
+    assert isw.stark_shift2(2, -1e160) == math.inf
+    assert isw.stark_shift2(1000, 1e158) == math.inf
+
+
 def test_invalid_quantum_numbers():
     for bad in (0, -1, 1.5, True):
         with pytest.raises(InvalidSpecError):

@@ -173,6 +173,13 @@ _BETHE_HEX = [
     (1.7, "0x1.f97f62e0aadd4p-3", "0x1.9d7eb671a02efp-5"),
     (345.6, "0x1.922091e8ad099p-3", "0x1.b948d47034475p-20"),
     (10000.0, "0x1.921fb587b9e81p-3", "0x1.0ddc5a3405e89p-29"),
+    # the ends of the float range, where unreduced exact parts grow most
+    (5e-324, "0x1.921fb54442d18p-2", "0x1.921fb54442d18p-3"),
+    (1e-300, "0x1.921fb54442d18p-2", "0x1.921fb54442d18p-3"),
+    (1e-30, "0x1.921fb54442d18p-2", "0x1.921fb54442d18p-3"),
+    (1e30, "0x1.921fb54442d18p-3", "0x1.43181499011d8p-202"),
+    (1e150, "0x1.921fb54442d18p-3", "0x1.0d4cab14b6bbfp-999"),
+    (1e300, "0x1.921fb54442d18p-3", "0x0.0p+0"),
 ]
 
 
@@ -183,11 +190,35 @@ def test_bethe_contour_values_are_frozen_bit_for_bit(q, odd_hex, even_hex):
     assert (odd.hex(), even.hex()) == (odd_hex, even_hex)
 
 
+# the same at kappa0 != 1, frozen before the residues moved to ints
+_BETHE_HEX_KAPPA0 = [
+    (0.37, 0.5, "0x1.4afafff51fc5bp+1", "0x1.03d64aa5fcb9ep+2"),
+    (0.37, 2.75, "0x1.329f42a3e31c0p-6", "0x1.417377f7d2d4ap-10"),
+    (2.0, 0.5, "0x1.a9c7386664dddp+0", "0x1.7a78322220c53p-2"),
+    (2.0, 2.75, "0x1.ffb808970c96cp-7", "0x1.ac1acc9fd4fd4p-11"),
+    (1e150, 2.75, "0x1.355f5ddf80eb1p-7", "0x1.9e5e80fd71a59p-1004"),
+    (5e-324, 2.75, "0x1.355f5ddf80eb1p-6", "0x1.474525f2c7d8ep-10"),
+]
+
+
+@pytest.mark.parametrize("q, kappa0, odd_hex, even_hex", _BETHE_HEX_KAPPA0)
+def test_bethe_contour_values_off_unit_kappa0_are_frozen(q, kappa0, odd_hex, even_hex):
+    odd = contour_integral_uhp(build_bethe_integrand(Parity.ODD, q, kappa0))
+    even = contour_integral_uhp(build_bethe_integrand(Parity.EVEN, q, kappa0))
+    assert (odd.hex(), even.hex()) == (odd_hex, even_hex)
+
+
+def _as_fractions(x):
+    """The exact (a, b, d) triple as the pair (a/d, b/d) of Fractions."""
+    a, b, d = x
+    return (Fraction(a, d), Fraction(b, d))
+
+
 def _every_uhp_residue(f):
     total = (Fraction(0), Fraction(0))
     for index, (location, _) in enumerate(f.poles):
         if location.imag > 0:
-            res = _residue_at_exact(f, index)
+            res = _as_fractions(_residue_at_exact(f, index))
             total = (total[0] + res[0], total[1] + res[1])
     return total
 
@@ -201,7 +232,7 @@ def test_mirror_path_sum_is_the_exact_sum_over_every_uhp_pole():
         for parity in (Parity.ODD, Parity.EVEN):
             f = build_bethe_integrand(parity, q, k0)
             assert _has_mirror_symmetry(f)
-            assert _uhp_residue_sum(f) == _every_uhp_residue(f)
+            assert _as_fractions(_uhp_residue_sum(f)) == _every_uhp_residue(f)
 
 
 # float.hex of the contour value, frozen before the mirror rule
@@ -245,7 +276,7 @@ def test_integrands_without_mirror_symmetry_take_the_generic_path(numerator, pol
 def test_poles_on_the_imaginary_axis_take_the_mirror_path(numerator, poles, value_hex):
     f = FactoredRational(numerator, poles)
     assert _has_mirror_symmetry(f)
-    assert _uhp_residue_sum(f) == _every_uhp_residue(f)
+    assert _as_fractions(_uhp_residue_sum(f)) == _every_uhp_residue(f)
     assert contour_integral_uhp(f).hex() == value_hex
 
 
