@@ -3,12 +3,13 @@
 Everything numerical in this package runs in reduced units (hbar = m = 1,
 and well width a = 1 for the box model or kappa0 = 1 for the delta model).
 This module holds what every other module shares: the error hierarchy,
-the checks on state indices and on positive wavenumbers, the brute-force
+the checks on state indices and on positive scalars, the brute-force
 truncation record and the relative-error rule every check is judged by.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -71,10 +72,9 @@ def check_state_index(n, name: str = "n") -> int:
     return int(n)
 
 
-def check_finite_positive(value, name: str):
-    """value unchanged; InvalidSpecError unless it (every entry of an
-    array) is finite and > 0."""
-    if not np.all(np.isfinite(value) & (value > 0.0)):
+def check_finite_positive(value: float, name: str) -> float:
+    """value unchanged; InvalidSpecError unless it is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
         raise InvalidSpecError(f"{name} must be finite and > 0, got {value}")
     return value
 

@@ -8,6 +8,11 @@ matrix elements close in elementary form, e.g.
     <0|x|k, odd> = (4/sqrt(pi)) k / (1 + k^2)^2
 
 so the sum rules turn into half-line integrals of rational functions.
+
+The matrix-element kernels below are plain formulas in the continuum
+wavenumber k, a float or an array: each needs every k finite and > 0
+and checks nothing, since their callers integrate over quadrature
+nodes that are positive by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 
 import numpy as np
 
-from .core import InvalidSpecError, check_finite_positive
+from .core import InvalidSpecError
 from .series import Parity
 
 _PI = math.pi
@@ -27,55 +32,47 @@ def bound_energy() -> float:
 
 
 def energy_gap(k):
-    """E_k - E_0 = (k^2 + 1)/2, the weight in every energy-weighted rule."""
-    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
-    value = 0.5 * (k * k + 1.0)
-    return float(value) if value.ndim == 0 else value
+    """E_k - E_0 = (k^2 + 1)/2 at k > 0, the weight in every
+    energy-weighted rule."""
+    return 0.5 * (k * k + 1.0)
 
 
 def x_me_bound(k):
-    """<0|x|k, odd> = (4/sqrt(pi)) k/(1+k^2)^2; even states give zero."""
-    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
-    value = (4.0 / math.sqrt(_PI)) * k / (1.0 + k * k) ** 2
-    return float(value) if value.ndim == 0 else value
+    """<0|x|k, odd> = (4/sqrt(pi)) k/(1+k^2)^2 at k > 0; even states
+    give zero."""
+    return (4.0 / math.sqrt(_PI)) * k / (1.0 + k * k) ** 2
 
 
 def x2_me_bound(k):
-    """<0|x^2|k, even> = 8k / (sqrt(pi (1+k^2)) (1+k^2)^2); odd give zero."""
-    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
-    value = 8.0 * k / (np.sqrt(_PI * (1.0 + k * k)) * (1.0 + k * k) ** 2)
-    return float(value) if value.ndim == 0 else value
+    """<0|x^2|k, even> = 8k / (sqrt(pi (1+k^2)) (1+k^2)^2) at k > 0;
+    odd states give zero."""
+    return 8.0 * k / (np.sqrt(_PI * (1.0 + k * k)) * (1.0 + k * k) ** 2)
 
 
 def bethe_me(parity: Parity, q: float, k):
-    """<0|e^{iqx}|k> split by parity of the final state.
+    """<0|e^{iqx}|k> split by parity of the final state, at q > 0 and
+    k > 0.
 
     With D = ((k+q)^2 + 1)((k-q)^2 + 1):
 
         odd:  sqrt(4/pi) * 2kq / D          (times i, dropped as phase)
         even: sqrt(4/(pi(1+k^2))) * (-2kq^2) / D
     """
-    q = check_finite_positive(float(q), "momentum transfer")
-    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
     denom = ((k + q) ** 2 + 1.0) * ((k - q) ** 2 + 1.0)
     if parity is Parity.ODD:
-        value = math.sqrt(4.0 / _PI) * 2.0 * k * q / denom
-    elif parity is Parity.EVEN:
-        value = np.sqrt(4.0 / (_PI * (1.0 + k * k))) * (-2.0 * k * q * q) / denom
-    else:
-        raise InvalidSpecError("continuum states are even or odd")
-    return float(value) if value.ndim == 0 else value
+        return math.sqrt(4.0 / _PI) * 2.0 * k * q / denom
+    if parity is Parity.EVEN:
+        return np.sqrt(4.0 / (_PI * (1.0 + k * k))) * (-2.0 * k * q * q) / denom
+    raise InvalidSpecError("continuum states are even or odd")
 
 
 def oscillator_strength_density(k):
-    """df/dk = 2 (E_k - E_0) |<0|x|k>|^2 = (16/pi) k^2/(1+k^2)^3.
+    """df/dk = 2 (E_k - E_0) |<0|x|k>|^2 = (16/pi) k^2/(1+k^2)^3 at k > 0.
 
     Integrates to exactly 1 over the half line (the f-sum rule with a
     single bound state and no discrete excited spectrum).
     """
-    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
-    value = (16.0 / _PI) * k * k / (1.0 + k * k) ** 3
-    return float(value) if value.ndim == 0 else value
+    return (16.0 / _PI) * k * k / (1.0 + k * k) ** 3
 
 
 def stark_shift2_delta(F: float) -> float:

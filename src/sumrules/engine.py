@@ -180,6 +180,8 @@ _DELTA_CHECKS = {
 
 def analytic_rhs(spec: SumRuleSpec, model: ModelKind) -> float:
     """Right-hand side of the rule in reduced units."""
+    if not isinstance(model, ModelKind):
+        raise InvalidSpecError(f"model must be a ModelKind, got {model!r}")
     if model is ModelKind.ISW:
         if spec.rule == "bethe":
             raise InvalidSpecError("the box has no Bethe rule here; use the delta well")
@@ -200,7 +202,6 @@ def bethe_component_closed(parity: Parity, q: float) -> float:
 
     The channels sum to q^2/2 identically.
     """
-    q = check_finite_positive(float(q), "q")
     half_q2 = 0.5 * q * q
     if parity is Parity.ODD:
         return half_q2 * (1.0 + half_q2) / (1.0 + q * q)
@@ -234,6 +235,8 @@ def bethe_components(q: float, tol: float = DEFAULT_TOL) -> BetheComponents:
     same channel drift apart by more than an internal guard tolerance;
     that can only mean a bug, not a hard integral.
     """
+    q = check_finite_positive(float(q), "q")
+    check_finite_positive(tol, "tol")
     channels = []
     for parity in (Parity.ODD, Parity.EVEN):
         res = _bethe_residue_component(parity, q)
@@ -275,6 +278,7 @@ def _check(
 ) -> RuleVerification:
     """Both routes of the row of `rule` in the table of `model` (at box
     state params["n"]), each times `scale`, held against `analytic`."""
+    check_finite_positive(tol, "tol")
     if model is ModelKind.ISW:
         _, prefactor, offset = _BOX_CHECKS[rule]
         closed, brute_args = box_lattice_sum(rule, params["n"])
@@ -302,8 +306,6 @@ def verify(
     with the parity split from all three evaluators in `components`,
     and its brute route is adaptive quadrature.
     """
-    if not isinstance(model, ModelKind):
-        raise InvalidSpecError(f"model must be a ModelKind, got {model!r}")
     analytic = analytic_rhs(spec, model)
     if spec.rule != "bethe":
         params = {"n": spec.n} if model is ModelKind.ISW else {}

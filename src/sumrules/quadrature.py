@@ -23,7 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import DEFAULT_TOL, REL_ERR_FLOOR, DomainError, InvalidSpecError
+from .core import (
+    DEFAULT_TOL,
+    REL_ERR_FLOOR,
+    DomainError,
+    InvalidSpecError,
+    check_finite_positive,
+)
 
 MAX_PANELS = 10_000
 _INITIAL_PANELS = 8
@@ -152,11 +158,6 @@ def _tan_wrapped(f: Callable, scale: float) -> Callable:
     return g
 
 
-def _check_scale(scale: float) -> None:
-    if not (math.isfinite(scale) and scale > 0):
-        raise InvalidSpecError(f"scale must be finite and positive, got {scale}")
-
-
 def integrate_semi_inf(
     f: Callable,
     scale: float = 1.0,
@@ -168,6 +169,6 @@ def integrate_semi_inf(
     nodes land below k = scale); any positive value converges, a value
     near the natural width of f converges fastest.
     """
-    _check_scale(scale)
+    check_finite_positive(scale, "scale")
     return integrate_interval(_tan_wrapped(f, scale), 0.0, 0.5 * math.pi, tol=tol)
 

@@ -36,12 +36,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import (
-    ArcDivergenceError,
-    InconsistencyError,
-    InvalidSpecError,
-    check_finite_positive,
-)
+from .core import ArcDivergenceError, InconsistencyError, InvalidSpecError
 from .series import Parity
 
 _IM_TOL = 1e-12  # largest |Im| / |value| of a consistent contour result
@@ -282,12 +277,11 @@ def build_bethe_integrand(parity: Parity, q: float, kappa0: float) -> FactoredRa
     [ (k+q)^2 + kappa0^2 ]^2 [ (k-q)^2 + kappa0^2 ]^2, i.e. double poles
     at +-q +- i kappa0.  The odd channel carries numerator
     k^2 (k^2 + kappa0^2); the even channel carries k^2 (its q^2 weight
-    and all shared prefactors stay outside the contour step).
+    and all shared prefactors stay outside the contour step).  q and
+    kappa0 must be finite and > 0; the caller checks them.
     """
     if parity is Parity.ALL:
         raise InvalidSpecError("Bethe integrands are built per parity channel")
-    check_finite_positive(q, "q")
-    check_finite_positive(kappa0, "kappa0")
     if parity is Parity.ODD:
         numerator = (0.0, 0.0, kappa0 * kappa0, 0.0, 1.0)
     else:

@@ -82,7 +82,7 @@ def _guard_pole(z: float, parity: Parity) -> None:
 
 # ---------------------------------------------------------------------------
 # Term tables: S_p as sums of A pi^t z^(-m) X^e, built once per lattice.
-# Key (m, e, t) -> Fraction coefficient A.
+# Key (m, e, t) -> Fraction coefficient A, until _build_tables rounds them.
 
 def _differentiate(table: dict, x_chain: Fraction) -> dict:
     """d/dz of a term family whose X satisfies X' = x_chain * pi * (1 + X^2).
@@ -105,13 +105,17 @@ def _differentiate(table: dict, x_chain: Fraction) -> dict:
     return out
 
 
-def _build_tables(base: dict, x_chain: Fraction) -> list[dict]:
-    """Tables for p = 1..MAX_P from S_{p+1}(z) = S_p'(z) / (2 p z)."""
+def _build_tables(base: dict, x_chain: Fraction) -> list[tuple]:
+    """Tables for p = 1..MAX_P from S_{p+1}(z) = S_p'(z) / (2 p z), each
+    a tuple of (A pi^t, m, e) terms: A pi^t is rounded once, here."""
     tables = [base]
     for p in range(1, MAX_P):
         deriv = _differentiate(tables[-1], x_chain)
         tables.append({(m + 1, e, t): c / (2 * p) for (m, e, t), c in deriv.items()})
-    return tables
+    return [
+        tuple((float(c) * _PI**t, m, e) for (m, e, t), c in table.items())
+        for table in tables
+    ]
 
 
 # S_1(z) = (1/2) z^-2 - (1/2) pi z^-1 cot(pi z)
@@ -126,10 +130,10 @@ _ODD_TABLES = _build_tables(
 )
 
 
-def _eval_table(table: dict, z: float, x_value: float) -> float:
+def _eval_table(table: tuple, z: float, x_value: float) -> float:
     total = 0.0
-    for (m, e, t), coeff in table.items():
-        total += float(coeff) * _PI**t * z ** (-m) * x_value**e
+    for coeff, m, e in table:
+        total += coeff * z ** (-m) * x_value**e
     return total
 
 

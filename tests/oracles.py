@@ -17,12 +17,7 @@ from sumrules.core import (
     check_finite_positive,
     check_state_index,
 )
-from sumrules.quadrature import (
-    QuadratureResult,
-    _check_scale,
-    _tan_wrapped,
-    integrate_interval,
-)
+from sumrules.quadrature import QuadratureResult, _tan_wrapped, integrate_interval
 from sumrules.residue import FactoredRational, _residue_at_exact
 from sumrules.series import Parity
 
@@ -46,10 +41,9 @@ def delta_psi_bound(x):
     return float(value) if value.ndim == 0 else value
 
 
-def delta_energy_continuum(k):
-    k = check_finite_positive(np.asarray(k, dtype=float), "continuum wavenumber")
-    value = 0.5 * k * k
-    return float(value) if value.ndim == 0 else value
+def delta_energy_continuum(k: float) -> float:
+    k = check_finite_positive(float(k), "continuum wavenumber")
+    return 0.5 * k * k
 
 
 def delta_psi_continuum(parity: Parity, k: float, x):
@@ -78,7 +72,7 @@ def integrate_real_line(
     abs_tol: float = 0.0,
 ) -> QuadratureResult:
     """Integral of f over (-inf, inf) via the two-sided tan map."""
-    _check_scale(scale)
+    check_finite_positive(scale, "scale")
     return integrate_interval(
         _tan_wrapped(f, scale), -0.5 * PI, 0.5 * PI, tol=tol, abs_tol=abs_tol
     )

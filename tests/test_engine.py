@@ -82,6 +82,45 @@ def test_analytic_rhs_values():
         analytic_rhs(bethe, ModelKind.ISW)
 
 
+def test_analytic_rhs_rejects_a_model_name():
+    # a bare string once fell through to the delta well's values
+    with pytest.raises(InvalidSpecError, match="ModelKind"):
+        analytic_rhs(SumRuleSpec("closure", n=2), "isw")
+    with pytest.raises(InvalidSpecError, match="ModelKind"):
+        analytic_rhs(SumRuleSpec("bethe", q=2.0), "isw")
+    with pytest.raises(InvalidSpecError, match="ModelKind"):
+        verify(SumRuleSpec("closure", n=2), "isw")
+
+
+BAD_SCALARS = (0.0, -1.0, math.nan, math.inf)
+
+
+@pytest.mark.parametrize("bad", BAD_SCALARS)
+def test_entry_points_reject_bad_q(bad):
+    with pytest.raises(InvalidSpecError, match="q must be finite and > 0"):
+        SumRuleSpec("bethe", q=bad)
+    with pytest.raises(InvalidSpecError, match="q must be finite and > 0"):
+        bethe_components(bad)
+
+
+@pytest.mark.parametrize("bad", BAD_SCALARS)
+def test_entry_points_reject_bad_tol(bad):
+    """A tol that no route can meet is a bad request, on every library
+    entry point as on the command line: it never reaches a sum."""
+    with pytest.raises(InvalidSpecError, match="tol must be finite and > 0"):
+        bethe_components(1.0, tol=bad)
+    for spec, model in (
+        (SumRuleSpec("trk", n=3), ModelKind.ISW),
+        (TRK, ModelKind.DELTA),
+        (SumRuleSpec("bethe", q=1.0), ModelKind.DELTA),
+    ):
+        with pytest.raises(InvalidSpecError, match="tol must be finite and > 0"):
+            verify(spec, model, tol=bad)
+    for model in ModelKind:
+        with pytest.raises(InvalidSpecError, match="tol must be finite and > 0"):
+            stark_verify(model, tol=bad)
+
+
 def test_half_line_moment_frozen_values():
     assert half_line_moment(1, 3) == pytest.approx(PI / 16.0, rel=1e-15, abs=0)
     assert half_line_moment(1, 4) == pytest.approx(PI / 32.0, rel=1e-15, abs=0)

@@ -288,8 +288,6 @@ def test_bethe_integrand_shape():
     assert all(order == 2 for _, order in f.poles)
     with pytest.raises(InvalidSpecError):
         build_bethe_integrand(Parity.ALL, 1.0, 1.0)
-    with pytest.raises(InvalidSpecError):
-        build_bethe_integrand(Parity.ODD, -1.0, 1.0)
 
 
 def test_random_bethe_integrands_match_quadrature():
