@@ -20,13 +20,10 @@ from .core import (
     TruncationTrace,
 )
 from .engine import (
-    BetheComponents,
-    OscillatorStrengthTable,
     RuleVerification,
     SumRuleSpec,
     analytic_rhs,
     bethe_components,
-    oscillator_strengths,
     stark_verify,
     verify,
 )
@@ -37,13 +34,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArcDivergenceError",
-    "BetheComponents",
     "ConvergenceError",
     "DomainError",
     "InconsistencyError",
     "InvalidSpecError",
     "ModelKind",
-    "OscillatorStrengthTable",
     "Parity",
     "PoleError",
     "QuadratureResult",
@@ -53,7 +48,6 @@ __all__ = [
     "TruncationTrace",
     "analytic_rhs",
     "bethe_components",
-    "oscillator_strengths",
     "stark_verify",
     "verify",
     "__version__",

@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 
 from . import engine, series
@@ -47,6 +48,11 @@ _BOX_RULES = tuple(rule for rule in engine.RULES if rule != "bethe")
 # one left out; these grids stand in for a left-out one
 _DEFAULT_N = {"verify": "1..10", "stark": "1..6", "sweep": "1..4"}
 _DEFAULT_Q = "0.1,0.5,1,2,5,10"
+# A token that opens with "-", an optional ".", then a digit is a value,
+# never a flag.  Set on each subparser: the pattern argparse ships on
+# Python 3.10-3.12 takes only "-1" and "-0.5" for numbers and reads
+# "-1e-3" (or "-1,2") as an unknown flag.
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 _VERIFY_CSV_COLUMNS = (
     "rule", "model", "n", "q", "F",
@@ -195,7 +201,7 @@ def _run_verify(args: argparse.Namespace) -> tuple[list[dict], list]:
     every = _BOX_RULES if model is ModelKind.ISW else engine.RULES
     rules = every if args.rule == "all" else (args.rule,)
     rows: list[dict] = []
-    bethe_detail: list[engine.BetheComponents] = []
+    bethe_detail: list[tuple[RuleVerification, RuleVerification]] = []
     for rule in rules:
         if model is ModelKind.ISW:
             specs = [SumRuleSpec(rule, n=n) for n in args.n]
@@ -307,7 +313,9 @@ def _sweep_text(rows: list[dict], detail: list) -> list[str]:
     return lines
 
 
-def _table_text(rows: list[dict], detail: list[engine.BetheComponents]) -> list[str]:
+def _table_text(
+    rows: list[dict], detail: list[tuple[RuleVerification, RuleVerification]]
+) -> list[str]:
     header = (
         f"{'rule':<22} {'model':<6} {'params':<14} {'analytic':>22} "
         f"{'closed':>22} {'brute':>22} {'rel_closed':>10} {'rel_brute':>10} status"
@@ -324,11 +332,11 @@ def _table_text(rows: list[dict], detail: list[engine.BetheComponents]) -> list[
     if detail:
         sub = f"{'q':>8} {'B_odd':>22} {'B_even':>22} {'total':>22} {'q^2/2':>22}"
         lines += ["", sub, "-" * len(sub)]
-        for parts in detail:
+        for odd, even in detail:
+            q = odd.params["q"]
             lines.append(
-                f"{parts.q:>8g} {parts.odd_residue:>22.15e} "
-                f"{parts.even_residue:>22.15e} {parts.total_residue:>22.15e} "
-                f"{0.5 * parts.q * parts.q:>22.15e}"
+                f"{q:>8g} {odd.closed:>22.15e} {even.closed:>22.15e} "
+                f"{odd.closed + even.closed:>22.15e} {0.5 * q * q:>22.15e}"
             )
     return lines
 
@@ -365,6 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_subcommand(name, run, columns, text, **kwargs) -> argparse.ArgumentParser:
         sp = sub.add_parser(name, epilog="CSV columns: " + ",".join(columns), **kwargs)
+        sp._negative_number_matcher = _NEGATIVE_NUMBER
         sp.set_defaults(run=run, columns=columns, text=text)
         return sp
 

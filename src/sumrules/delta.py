@@ -66,15 +66,6 @@ def bethe_me(parity: Parity, q: float, k):
     raise InvalidSpecError("continuum states are even or odd")
 
 
-def oscillator_strength_density(k):
-    """df/dk = 2 (E_k - E_0) |<0|x|k>|^2 = (16/pi) k^2/(1+k^2)^3 at k > 0.
-
-    Integrates to exactly 1 over the half line (the f-sum rule with a
-    single bound state and no discrete excited spectrum).
-    """
-    return (16.0 / _PI) * k * k / (1.0 + k * k) ** 3
-
-
 def stark_shift2_delta(F: float) -> float:
     """Second-order shift of the bound level: -(5/8) F^2."""
     return -0.625 * F * F

@@ -11,6 +11,9 @@ are compared against the analytic right-hand side:
 Every check but bethe, Stark shifts included, is a row of its model's
 table, whose two routes `_check` builds for `verify` and `stark_verify`
 alike; the one `RuleVerification` returned only passes if both routes do.
+Bethe is the sum of two channel records from `bethe_components`, one
+per parity, each with its rational closed form as the analytic value,
+the residue as closed route and the quadrature as brute route.
 The two routes share nothing past the matrix elements, which is the
 point: agreement is evidence the algebra and the numerics are each
 right, disagreement raises or flags instead of averaging away.
@@ -21,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Mapping
-
-import numpy as np
 
 from . import delta, isw, quadrature, residue, series
 from .core import (
@@ -82,8 +83,9 @@ class RuleVerification:
     `closed` comes through identities (cotangent chains or exact moments
     and residues), `brute` from the truncated sum or adaptive quadrature
     that `trace` records.  `model` is None for a bare lattice sum, which
-    belongs to neither model.  `components` carries the Bethe parity
-    split the routes were built from; it is None for every other check.
+    belongs to neither model.  `components` holds the (odd, even)
+    channel records a bethe row sums; it is None for every other check,
+    and no verdict reads it.
     The relative errors and the verdict are derived: the check passes
     when both routes are within `tol` of `analytic`.
     """
@@ -96,7 +98,7 @@ class RuleVerification:
     brute: float
     trace: TruncationTrace | QuadratureResult
     tol: float
-    components: BetheComponents | None = None
+    components: tuple[RuleVerification, RuleVerification] | None = None
 
     @property
     def rel_err_closed(self) -> float:
@@ -110,39 +112,6 @@ class RuleVerification:
     def passed(self) -> bool:
         # a NaN route compares false, so it never passes
         return self.rel_err_closed <= self.tol and self.rel_err_brute <= self.tol
-
-
-@dataclass(frozen=True)
-class BetheComponents:
-    """Parity-resolved pieces of the Bethe sum at one q.
-
-    closed entries come from the rational closed forms, residue entries
-    from the contour engine, quadrature entries from adaptive
-    integration of the matrix elements.  The three must agree; the
-    constructor is dumb storage, `bethe_components` does the checking.
-    """
-
-    q: float
-    odd_closed: float
-    even_closed: float
-    odd_residue: float
-    even_residue: float
-    odd_quadrature: float
-    even_quadrature: float
-    odd_trace: QuadratureResult
-    even_trace: QuadratureResult
-
-    @property
-    def total_closed(self) -> float:
-        return self.odd_closed + self.even_closed
-
-    @property
-    def total_residue(self) -> float:
-        return self.odd_residue + self.even_residue
-
-    @property
-    def total_quadrature(self) -> float:
-        return self.odd_quadrature + self.even_quadrature
 
 
 def half_line_moment(w: int, p: int) -> float:
@@ -228,8 +197,12 @@ def _bethe_quadrature_component(
     return quadrature.integrate_semi_inf(integrand, scale=max(1.0, q), tol=tol)
 
 
-def bethe_components(q: float, tol: float = DEFAULT_TOL) -> BetheComponents:
-    """Evaluate both Bethe channels three ways and cross-check them.
+def bethe_components(
+    q: float, tol: float = DEFAULT_TOL
+) -> tuple[RuleVerification, RuleVerification]:
+    """The (odd, even) Bethe channels at q, one record each: analytic
+    is the channel's rational closed form, closed its residue and brute
+    its quadrature, whose result is the trace.
 
     Raises InconsistencyError if residue and quadrature values for the
     same channel drift apart by more than an internal guard tolerance;
@@ -247,12 +220,11 @@ def bethe_components(q: float, tol: float = DEFAULT_TOL) -> BetheComponents:
                 f"Bethe {parity.value} channel at q={q}: residue {res!r} vs "
                 f"quadrature {quad.value!r} (rel dev {dev:.3e})"
             )
-        channels.append((bethe_component_closed(parity, q), res, quad))
-    (odd_closed, odd_res, odd_quad), (even_closed, even_res, even_quad) = channels
-    return BetheComponents(
-        q, odd_closed, even_closed, odd_res, even_res,
-        odd_quad.value, even_quad.value, odd_quad, even_quad,
-    )
+        channels.append(RuleVerification(
+            f"bethe.{parity.value}", ModelKind.DELTA, {"q": q},
+            bethe_component_closed(parity, q), res, quad.value, quad, tol,
+        ))
+    return tuple(channels)
 
 
 def box_lattice_sum(rule: str, n: int) -> tuple[float, dict]:
@@ -302,77 +274,23 @@ def verify(
 
     A rule but bethe is its model's table row, on the box a lattice sum
     with its diagonal terms.  The delta well's initial state is always
-    the single bound level; bethe's closed route is the residue total,
-    with the parity split from all three evaluators in `components`,
-    and its brute route is adaptive quadrature.
+    the single bound level; bethe's routes and trace are the sums of
+    its two channel records, which it keeps in `components`.
     """
     analytic = analytic_rhs(spec, model)
     if spec.rule != "bethe":
         params = {"n": spec.n} if model is ModelKind.ISW else {}
         return _check(spec.rule, model, params, analytic, 1.0, tol, max_terms)
-    parts = bethe_components(spec.q, tol=tol)
+    odd, even = bethe_components(spec.q, tol=tol)
     trace = QuadratureResult(
-        value=parts.total_quadrature,
-        est_error=parts.odd_trace.est_error + parts.even_trace.est_error,
-        evaluations=parts.odd_trace.evaluations + parts.even_trace.evaluations,
-        converged=parts.odd_trace.converged and parts.even_trace.converged,
+        value=odd.brute + even.brute,
+        est_error=odd.trace.est_error + even.trace.est_error,
+        evaluations=odd.trace.evaluations + even.trace.evaluations,
+        converged=odd.trace.converged and even.trace.converged,
     )
     return RuleVerification(
         spec.rule, model, {"q": spec.q}, analytic,
-        parts.total_residue, parts.total_quadrature, trace, tol, parts,
-    )
-
-
-@dataclass(frozen=True)
-class OscillatorStrengthTable:
-    """Oscillator strengths f_{n,k} and their (partial) sum.
-
-    For the box `entries` holds (k, f_nk) pairs for final states of
-    opposite parity out to the cutoff (the others vanish) and `sum` is
-    their truncated total.  For the delta well the strengths form a
-    continuum, so `entries` is empty and `sum` carries the integral of
-    the density over k instead.  Either way `tail_bound` is an upper
-    bound on what the truncation or quadrature can still be missing,
-    so sum + tail_bound brackets the f-sum value 1 from above.
-    """
-
-    entries: tuple[tuple[float, float], ...]
-    sum: float
-    tail_bound: float
-    n: int = 1
-
-
-def oscillator_strengths(
-    model: ModelKind, n: int = 1, k_max: int = 10_000
-) -> OscillatorStrengthTable:
-    """Oscillator strengths f_{n,k} = 2 (E_k - E_n) |<n|x|k>|^2.
-
-    The delta well has a single bound state, so its table is the
-    continuum version: `n` is ignored and `k_max` only in that it must
-    still be sensible.
-    """
-    n = check_state_index(n)
-    if k_max <= n + 1:
-        raise InvalidSpecError(f"k_max must exceed n + 1, got {k_max}")
-    if model is ModelKind.DELTA:
-        result = quadrature.integrate_semi_inf(delta.oscillator_strength_density)
-        return OscillatorStrengthTable(
-            entries=(), sum=result.value, tail_bound=result.est_error, n=1
-        )
-    if model is not ModelKind.ISW:
-        raise InvalidSpecError(f"model must be a ModelKind, got {model!r}")
-    start = 2 if n % 2 else 1
-    k = np.arange(start, k_max + 1, 2, dtype=float)
-    f = (64.0 * n * n / _PI**2) * k * k / (k * k - float(n * n)) ** 3
-    # f ~ (64 n^2/pi^2) k^-4: bound the tail by the integral from the
-    # cutoff, inflated by the worst (1 - n^2/k^2)^-3 factor.
-    edge = float(k[-1]) + 1.0
-    tail = (64.0 * n * n / _PI**2) / (3.0 * edge**3) / (1.0 - n * n / edge**2) ** 3
-    return OscillatorStrengthTable(
-        entries=tuple((float(kv), float(fv)) for kv, fv in zip(k, f)),
-        sum=math.fsum(f),
-        tail_bound=tail,
-        n=n,
+        odd.closed + even.closed, trace.value, trace, tol, (odd, even),
     )
 
 

@@ -74,8 +74,8 @@ def test_bethe_detail_reuses_row_components(capsys, monkeypatch):
     start = next(i for i, line in enumerate(lines) if "B_odd" in line) + 2
     for line, q in zip(lines[start:start + 2], (0.5, 2.0)):
         spec = SumRuleSpec("bethe", q=q)
-        parts = engine.verify(spec, ModelKind.DELTA).components
-        expected = [parts.odd_residue, parts.even_residue, parts.total_residue]
+        odd, even = engine.verify(spec, ModelKind.DELTA).components
+        expected = [odd.closed, even.closed, odd.closed + even.closed]
         assert line.split()[1:4] == [format(v, ".15e") for v in expected]
 
 
@@ -118,6 +118,23 @@ def test_bad_tol_is_usage_error(capsys):
         "--n", "1", "--tol=-1e-9",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, code, err_start", [
+    ("stark --model delta --F -1e-3", 0, ""),
+    ("series --p 2 --z -1e-3", 0, ""),
+    ("verify --model delta --q -1e-3", 2, "error: q must be finite and > 0"),
+    ("verify --model delta --q -1e-3,2", 2, "error: q must be finite and > 0"),
+    ("verify --model delta --tol -1e-3", 2, "error: --tol must be positive"),
+])
+def test_negative_exponent_value_reaches_its_check(capsys, argv, code, err_start):
+    """A value such as -1e-3 after a flag is that flag's value, not an
+    unknown flag, so it meets the check its flag has."""
+    got, out, err = run_cli(capsys, *argv.split())
+    assert (got, err[:len(err_start)]) == (code, err_start)
+    if code == 0:
+        assert err == ""
+        assert "1 checks, 0 failed" in out
 
 
 def test_unknown_choice_exits_2_via_argparse(capsys):
@@ -193,11 +210,11 @@ def test_json_bethe_round_trips_bit_exact(capsys):
     )
     assert code == 0
     row = json.loads(out)[0]
-    parts = engine.bethe_components(2.0)
+    odd, even = engine.bethe_components(2.0)
     assert row["params"] == {"q": 2.0}
     assert row["analytic"] == 2.0
-    assert row["numeric_closed"] == parts.total_residue
-    assert row["numeric_brute"] == parts.total_quadrature
+    assert row["numeric_closed"] == odd.closed + even.closed
+    assert row["numeric_brute"] == odd.brute + even.brute
     assert "est_error" in row["trace"]
 
 

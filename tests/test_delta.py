@@ -13,7 +13,6 @@ import pytest
 
 from sumrules import delta
 from sumrules.core import InvalidSpecError
-from sumrules.quadrature import integrate_semi_inf
 from sumrules.series import Parity
 
 from oracles import (
@@ -147,16 +146,6 @@ def test_bethe_me_vs_quadrature():
             assert delta.bethe_me(Parity.ODD, q, k) == pytest.approx(odd, abs=1e-10)
             even = overlap(k, Parity.EVEN, lambda x: np.cos(q * x))
             assert delta.bethe_me(Parity.EVEN, q, k) == pytest.approx(even, abs=1e-10)
-
-
-def test_oscillator_density_integrates_to_one():
-    for k in (0.5, 1.0):
-        expected = 2.0 * delta.energy_gap(k) * delta.x_me_bound(k) ** 2
-        assert delta.oscillator_strength_density(k) == pytest.approx(
-            expected, rel=1e-14, abs=0
-        )
-    total = integrate_semi_inf(delta.oscillator_strength_density, tol=1e-12)
-    assert total.value == pytest.approx(1.0, rel=1e-12)
 
 
 def test_stark_shift():

@@ -14,7 +14,6 @@ from sumrules.engine import (
     bethe_component_closed,
     bethe_components,
     half_line_moment,
-    oscillator_strengths,
     stark_verify,
     verify,
 )
@@ -154,9 +153,9 @@ def test_lhs_delta_examples():
     assert verify(CLOSURE, ModelKind.DELTA).closed == pytest.approx(0.5, rel=1e-14, abs=0)
     assert verify(MONOPOLE, ModelKind.DELTA).brute == pytest.approx(1.0, rel=1e-11)
     check = verify(SumRuleSpec("bethe", q=1.0), ModelKind.DELTA)
-    assert check.components is not None
-    assert check.components.odd_closed == pytest.approx(0.375, rel=1e-13, abs=0)
-    assert check.components.even_closed == pytest.approx(0.125, rel=1e-13, abs=0)
+    odd, even = check.components
+    assert odd.analytic == pytest.approx(0.375, rel=1e-13, abs=0)
+    assert even.analytic == pytest.approx(0.125, rel=1e-13, abs=0)
     assert check.closed == pytest.approx(0.5, rel=1e-12, abs=0)
 
 
@@ -203,17 +202,44 @@ def test_verify_forced_failure():
 
 @pytest.mark.parametrize("q", [0.1, 0.5, 1.0, 2.0, 5.0, 10.0])
 def test_bethe_split(q):
-    parts = bethe_components(q)
+    odd, even = bethe_components(q)
     target = 0.5 * q * q
     # closed channel split is exact algebra
-    assert parts.total_closed == pytest.approx(target, rel=1e-12, abs=0)
-    assert parts.total_residue == pytest.approx(target, rel=1e-9)
-    assert parts.total_quadrature == pytest.approx(target, rel=1e-9)
+    assert odd.analytic + even.analytic == pytest.approx(target, rel=1e-12, abs=0)
+    assert odd.closed + even.closed == pytest.approx(target, rel=1e-9)
+    assert odd.brute + even.brute == pytest.approx(target, rel=1e-9)
     # channels individually match their closed forms
-    assert parts.odd_residue == pytest.approx(parts.odd_closed, rel=1e-9)
-    assert parts.even_residue == pytest.approx(parts.even_closed, rel=1e-9, abs=0)
-    assert parts.odd_quadrature == pytest.approx(parts.odd_closed, rel=1e-9)
-    assert parts.even_quadrature == pytest.approx(parts.even_closed, rel=1e-9, abs=0)
+    assert odd.closed == pytest.approx(odd.analytic, rel=1e-9)
+    assert even.closed == pytest.approx(even.analytic, rel=1e-9, abs=0)
+    assert odd.brute == pytest.approx(odd.analytic, rel=1e-9)
+    assert even.brute == pytest.approx(even.analytic, rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("q", [1e-4, 0.5, 2.0, 345.6, 1e4])
+def test_bethe_channel_records(q):
+    """Each channel is a delta-well record of its own, and a bethe row's
+    routes and trace are the sums of its channels', bit for bit."""
+    row = verify(SumRuleSpec("bethe", q=q), ModelKind.DELTA)
+    odd, even = row.components
+    for channel, parity in ((odd, Parity.ODD), (even, Parity.EVEN)):
+        assert channel.rule == f"bethe.{parity.value}"
+        assert channel.model is ModelKind.DELTA
+        assert channel.params == {"q": q}
+        assert channel.analytic == bethe_component_closed(parity, q)
+        assert channel.closed == engine._bethe_residue_component(parity, q)
+        assert channel.trace == engine._bethe_quadrature_component(parity, q, DEFAULT_TOL)
+        assert channel.brute == channel.trace.value
+        assert channel.tol == DEFAULT_TOL
+        assert channel.components is None
+    assert (odd, even) == bethe_components(q)
+    assert row.closed == odd.closed + even.closed
+    assert row.brute == odd.brute + even.brute
+    assert row.trace == QuadratureResult(
+        value=odd.trace.value + even.trace.value,
+        est_error=odd.trace.est_error + even.trace.est_error,
+        evaluations=odd.trace.evaluations + even.trace.evaluations,
+        converged=odd.trace.converged and even.trace.converged,
+    )
 
 
 BETHE_Q_GRID = [1e-4 * 1e8 ** (j / 40) for j in range(41)]  # log grid over [1e-4, 1e4]
@@ -248,6 +274,17 @@ def test_bethe_quadrature_inside_est_error():
 @pytest.mark.parametrize("tol", [1e-2, 1e-3])
 def test_bethe_quadrature_inside_est_error_at_loose_tol_large_q(tol):
     assert _bethe_bound_misses([q for q in BETHE_Q_GRID if q >= 158.0], tol) == []
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at the default tol the odd channel misses its closed form by "
+    "2.44e-7, 4.0 times its est_error of 6.10e-8 (396 evaluations)",
+)
+def test_bethe_quadrature_inside_est_error_at_default_tol():
+    # the one miss a 4001-point log grid over q in [1e-4, 1e4] shows
+    for channel in bethe_components(19.881398211747452):
+        assert abs(channel.brute - channel.analytic) <= channel.trace.est_error
 
 
 def test_bethe_residue_channels_match_closed_forms_to_the_last_bits():
@@ -375,9 +412,9 @@ def test_bethe_small_q_limits():
     assert bethe_component_closed(Parity.EVEN, q) / target == pytest.approx(
         0.0, abs=1e-5
     )
-    parts = bethe_components(q)
-    assert parts.odd_residue / target == pytest.approx(1.0, abs=1e-5)
-    assert parts.even_residue / target == pytest.approx(0.0, abs=1e-5)
+    odd, even = bethe_components(q)
+    assert odd.closed / target == pytest.approx(1.0, abs=1e-5)
+    assert even.closed / target == pytest.approx(0.0, abs=1e-5)
 
 
 def test_bethe_cross_check_guard(monkeypatch):
@@ -406,49 +443,6 @@ def test_diagonal_handling():
     assert direct - isw.x_me(n, n) ** 2 == pytest.approx(direct - 0.25, rel=1e-12, abs=0)
     # the k = n contribution to TRK/monopole is identically zero
     assert (isw.energy(n) - isw.energy(n)) * isw.x2_me(n, n) ** 2 == 0.0
-
-
-def test_oscillator_strengths_isw():
-    table = oscillator_strengths(ModelKind.ISW, 1, 10_000)
-    assert table.n == 1
-    k2, f12 = table.entries[0]
-    assert k2 == 2.0
-    assert f12 == pytest.approx(256.0 / (27.0 * PI**2), rel=1e-14, abs=0)
-    assert table.sum == pytest.approx(math.fsum(f for _, f in table.entries), rel=1e-14, abs=0)
-    assert table.sum < 1.0
-    assert 1.0 - table.sum <= table.tail_bound
-
-
-def test_oscillator_strengths_monotone_after_n():
-    """All terms with k > n are positive, so partial sums only grow;
-    negative strengths occur only for k < n."""
-    table = oscillator_strengths(ModelKind.ISW, 4, 2000)
-    below = [f for k, f in table.entries if k < 4]
-    above = [f for k, f in table.entries if k > 4]
-    assert all(f < 0 for f in below)
-    assert all(f > 0 for f in above)
-    partial = 0.0
-    partials = []
-    for _, f in table.entries:
-        partial += f
-        partials.append(partial)
-    tail = [p for (k, _), p in zip(table.entries, partials) if k > 4]
-    assert all(a < b for a, b in zip(tail, tail[1:]))
-
-
-def test_oscillator_strengths_delta():
-    table = oscillator_strengths(ModelKind.DELTA)
-    assert table.entries == ()
-    assert table.sum == pytest.approx(1.0, rel=1e-9)
-
-
-def test_oscillator_strengths_validation():
-    with pytest.raises(InvalidSpecError):
-        oscillator_strengths(ModelKind.ISW, 0)
-    with pytest.raises(InvalidSpecError):
-        oscillator_strengths(ModelKind.ISW, 5, 6)
-    with pytest.raises(InvalidSpecError):
-        oscillator_strengths("isw", 1)
 
 
 def test_stark_verify_isw():
