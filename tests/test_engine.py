@@ -332,6 +332,18 @@ _DELTA_QUAD_HEX = [
     ("even", 345.6, 0.001, "0x1.d28e5bc3bfda6p+14", "0x1.e6c1899c03fe0p+1", 616),
     ("odd", 10000.0, 0.001, "0x1.7d9ceacde7ebcp+23", "0x1.1e2bab0604590p+12", 616),
     ("even", 10000.0, 0.001, "0x1.7d907b4f6c091p+23", "0x1.1decab42aaab0p+12", 616),
+    # channels that stop in different rounds, frozen while each channel
+    # still ran its own quadrature
+    ("odd", 10.0, 1e-09, "0x1.93f5dc83cd4eap+4", "0x1.7e1b167700000p-26", 396),
+    ("even", 10.0, 1e-09, "0x1.8c0a237c32b18p+4", "0x1.884b5d3c00000p-30", 440),
+    ("odd", 100.0, 1e-09, "0x1.3887ffcb9391cp+11", "0x1.a4024b0000000p-24", 704),
+    ("even", 100.0, 1e-09, "0x1.387800346c6cfp+11", "0x1.394ab3f600000p-19", 660),
+    ("odd", 19.881398211747452, 1e-09, "0x1.8c4478efc930cp+6", "0x1.06236a9000000p-24", 396),
+    ("even", 19.881398211747452, 1e-09, "0x1.8a45c3c3d39d4p+6", "0x1.c1e2860000000p-28", 528),
+    ("odd", 158.48931924611142, 0.001, "0x1.8722980b4e6ecp+12", "0x1.27439fc6cf9e8p+1", 396),
+    ("even", 158.48931924611142, 0.001, "0x1.887774f0f241fp+12", "0x1.4661793d9e600p-1", 528),
+    ("odd", 1.0, 1e-12, "0x1.7ffffffffffffp-2", "0x1.0a72900000000p-42", 176),
+    ("even", 1.0, 1e-12, "0x1.ffffffffffffdp-4", "0x1.c0d6900000000p-45", 220),
 ]
 
 
