@@ -48,11 +48,12 @@ _BOX_RULES = tuple(rule for rule in engine.RULES if rule != "bethe")
 # one left out; these grids stand in for a left-out one
 _DEFAULT_N = {"verify": "1..10", "stark": "1..6", "sweep": "1..4"}
 _DEFAULT_Q = "0.1,0.5,1,2,5,10"
-# A token that opens with "-", an optional ".", then a digit is a value,
-# never a flag.  Set on each subparser: the pattern argparse ships on
-# Python 3.10-3.12 takes only "-1" and "-0.5" for numbers and reads
-# "-1e-3" (or "-1,2") as an unknown flag.
-_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+# A token that opens with "-", then an optional "." and a digit, or
+# "inf" or "nan" in any case, is a value, never a flag.  Set on each
+# subparser: the pattern argparse ships on Python 3.10-3.12 takes only
+# "-1" and "-0.5" for numbers and reads "-1e-3", "-1,2" or "-inf" as an
+# unknown flag.
+_NEGATIVE_NUMBER = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
 _VERIFY_CSV_COLUMNS = (
     "rule", "model", "n", "q", "F",

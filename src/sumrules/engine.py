@@ -187,14 +187,15 @@ def _bethe_residue_component(parity: Parity, q: float) -> float:
     return prefactor * full_line
 
 
-def _bethe_quadrature_component(
-    parity: Parity, q: float, tol: float
-) -> QuadratureResult:
+def _bethe_integrand(q: float):
+    """The (odd, even) rows of the Bethe channel integrands over k >= 0."""
     def integrand(k):
-        me = delta.bethe_me(parity, q, k)
-        return 0.5 * (k * k + 1.0) * me * me
+        gap = delta.energy_gap(k)
+        odd = delta.bethe_me(Parity.ODD, q, k)
+        even = delta.bethe_me(Parity.EVEN, q, k)
+        return gap * odd * odd, gap * even * even
 
-    return quadrature.integrate_semi_inf(integrand, scale=max(1.0, q), tol=tol)
+    return integrand
 
 
 def bethe_components(
@@ -202,7 +203,8 @@ def bethe_components(
 ) -> tuple[RuleVerification, RuleVerification]:
     """The (odd, even) Bethe channels at q, one record each: analytic
     is the channel's rational closed form, closed its residue and brute
-    its quadrature, whose result is the trace.
+    its quadrature, whose result is the trace.  Both quadratures are
+    the rows of one two-row integration.
 
     Raises InconsistencyError if residue and quadrature values for the
     same channel drift apart by more than an internal guard tolerance;
@@ -210,10 +212,10 @@ def bethe_components(
     """
     q = check_finite_positive(float(q), "q")
     check_finite_positive(tol, "tol")
+    quads = quadrature.integrate_semi_inf(_bethe_integrand(q), scale=max(1.0, q), tol=tol)
     channels = []
-    for parity in (Parity.ODD, Parity.EVEN):
+    for parity, quad in zip((Parity.ODD, Parity.EVEN), quads):
         res = _bethe_residue_component(parity, q)
-        quad = _bethe_quadrature_component(parity, q, tol)
         dev = rel_err(res, quad.value)
         if not dev <= _CROSS_CHECK_TOL:  # a NaN deviation fails too
             raise InconsistencyError(

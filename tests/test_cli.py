@@ -126,10 +126,16 @@ def test_bad_tol_is_usage_error(capsys):
     ("verify --model delta --q -1e-3", 2, "error: q must be finite and > 0"),
     ("verify --model delta --q -1e-3,2", 2, "error: q must be finite and > 0"),
     ("verify --model delta --tol -1e-3", 2, "error: --tol must be positive"),
+    ("stark --model delta --F -inf", 2, "error: field strength must be finite, got -inf"),
+    ("stark --model delta --F -nan", 2, "error: field strength must be finite, got nan"),
+    ("stark --model delta --F -Infinity", 2, "error: field strength must be finite, got -inf"),
+    ("verify --model delta --q -inf", 2, "error: grid '-inf' contains non-finite values"),
+    ("verify --model delta --q -NaN,2", 2, "error: grid '-NaN,2' contains non-finite values"),
+    ("verify --model delta --tol -inf", 2, "error: --tol must be positive"),
 ])
 def test_negative_exponent_value_reaches_its_check(capsys, argv, code, err_start):
-    """A value such as -1e-3 after a flag is that flag's value, not an
-    unknown flag, so it meets the check its flag has."""
+    """A value such as -1e-3 or -inf after a flag is that flag's value,
+    not an unknown flag, so it meets the check its flag has."""
     got, out, err = run_cli(capsys, *argv.split())
     assert (got, err[:len(err_start)]) == (code, err_start)
     if code == 0:

@@ -1,12 +1,13 @@
 """The dual-route verification engine across every supported rule."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumrules import engine, isw
+from sumrules import engine, isw, quadrature
 from sumrules.core import DEFAULT_TOL, InconsistencyError, InvalidSpecError, ModelKind
 from sumrules.engine import (
     SumRuleSpec,
@@ -17,7 +18,7 @@ from sumrules.engine import (
     stark_verify,
     verify,
 )
-from sumrules.quadrature import QuadratureResult
+from sumrules.quadrature import QuadratureResult, QuadratureRows
 from sumrules.series import Parity
 
 PI = math.pi
@@ -215,19 +216,30 @@ def test_bethe_split(q):
     assert even.brute == pytest.approx(even.analytic, rel=1e-9, abs=0)
 
 
+def _bethe_quadrature(q, tol, row=None):
+    """The two-row (odd, even) quadrature whose rows are the traces of
+    `bethe_components(q, tol)`, as `test_bethe_channel_records` checks,
+    or the 1-D quadrature of one row alone.  Read here, not from the
+    records, since at a loose tol the residue cross-check raises."""
+    both = engine._bethe_integrand(q)
+    f = both if row is None else (lambda k: both(k)[row])
+    return quadrature.integrate_semi_inf(f, scale=max(1.0, q), tol=tol)
+
+
 @pytest.mark.parametrize("q", [1e-4, 0.5, 2.0, 345.6, 1e4])
 def test_bethe_channel_records(q):
     """Each channel is a delta-well record of its own, and a bethe row's
     routes and trace are the sums of its channels', bit for bit."""
     row = verify(SumRuleSpec("bethe", q=q), ModelKind.DELTA)
     odd, even = row.components
-    for channel, parity in ((odd, Parity.ODD), (even, Parity.EVEN)):
+    assert (odd.trace, even.trace) == _bethe_quadrature(q, DEFAULT_TOL)
+    for i, (channel, parity) in enumerate(((odd, Parity.ODD), (even, Parity.EVEN))):
         assert channel.rule == f"bethe.{parity.value}"
         assert channel.model is ModelKind.DELTA
         assert channel.params == {"q": q}
         assert channel.analytic == bethe_component_closed(parity, q)
         assert channel.closed == engine._bethe_residue_component(parity, q)
-        assert channel.trace == engine._bethe_quadrature_component(parity, q, DEFAULT_TOL)
+        assert channel.trace == _bethe_quadrature(q, DEFAULT_TOL, row=i)
         assert channel.brute == channel.trace.value
         assert channel.tol == DEFAULT_TOL
         assert channel.components is None
@@ -250,8 +262,7 @@ def _bethe_bound_misses(qs, tol):
     misses its closed form by more than its own error estimate."""
     misses = []
     for q in qs:
-        for parity in (Parity.ODD, Parity.EVEN):
-            quad = engine._bethe_quadrature_component(parity, q, tol)
+        for parity, quad in zip((Parity.ODD, Parity.EVEN), _bethe_quadrature(q, tol)):
             err = abs(quad.value - bethe_component_closed(parity, q))
             if err > quad.est_error:
                 misses.append((q, parity.value, err / quad.est_error))
@@ -354,7 +365,7 @@ def test_delta_quadratures_are_frozen_bit_for_bit(name, q, tol, value_hex, est_h
     elif q is None:
         result = verify(SumRuleSpec(name), ModelKind.DELTA, tol=tol).trace
     else:
-        result = engine._bethe_quadrature_component(Parity(name), q, tol)
+        result = _bethe_quadrature(q, tol)[0 if name == "odd" else 1]
     assert (result.value.hex(), result.est_error.hex(), result.evaluations) == (
         value_hex, est_hex, evaluations
     )
@@ -434,10 +445,8 @@ def test_bethe_cross_check_guard(monkeypatch):
     real = engine.quadrature.integrate_semi_inf
 
     def corrupted(f, **kwargs):
-        result = real(f, **kwargs)
-        return QuadratureResult(
-            result.value * 1.001, result.est_error, result.evaluations,
-            result.converged,
+        return QuadratureRows(
+            dataclasses.replace(row, value=row.value * 1.001) for row in real(f, **kwargs)
         )
 
     monkeypatch.setattr(engine.quadrature, "integrate_semi_inf", corrupted)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from sumrules.core import DomainError, InvalidSpecError
 from sumrules.quadrature import (
     QuadratureResult,
+    QuadratureRows,
     integrate_interval,
     integrate_semi_inf,
 )
@@ -132,6 +133,84 @@ def test_bad_scale_rejected():
         integrate_semi_inf(lambda k: k, scale=0.0)
     with pytest.raises(InvalidSpecError):
         integrate_real_line(lambda k: k, scale=-1.0)
+
+
+# rows that stop in different rounds at tol 1e-12: 1/(1+k^2), exp(-k^2), exp(-k)
+HALF_LINE_ROWS = (
+    lambda k: 1.0 / (1.0 + k * k),
+    lambda k: np.exp(-k * k),
+    lambda k: np.exp(-k),
+)
+
+
+def test_rows_equal_their_one_row_calls():
+    rows = integrate_semi_inf(lambda k: [f(k) for f in HALF_LINE_ROWS], tol=1e-12)
+    alone = [integrate_semi_inf(f, tol=1e-12) for f in HALF_LINE_ROWS]
+    assert isinstance(rows, QuadratureRows)
+    assert list(rows) == alone
+    assert len({r.evaluations for r in alone}) == 3  # three stopping rounds
+    assert rows.evaluations == sum(r.evaluations for r in alone)
+    assert rows.converged
+    assert [r.value for r in rows] == pytest.approx(
+        [math.pi / 2, math.sqrt(math.pi) / 2, 1.0], rel=1e-11
+    )
+
+
+def test_rows_converged_only_when_every_row_is():
+    def g(x):
+        return np.array((x, np.sin(1000.0 * x)))
+
+    rows = integrate_interval(g, 0.0, 1.0, tol=1e-13, max_panels=9)
+    alone = [
+        integrate_interval(lambda x, i=i: g(x)[i], 0.0, 1.0, tol=1e-13, max_panels=9)
+        for i in range(2)
+    ]
+    assert list(rows) == alone
+    assert [r.converged for r in rows] == [True, False]
+    assert not rows.converged
+    assert rows.evaluations == alone[0].evaluations + alone[1].evaluations
+
+
+def test_one_row_of_one_is_a_sequence():
+    rows = integrate_semi_inf(lambda k: np.exp(-k * k)[None, :], tol=1e-12)
+    assert list(rows) == [integrate_semi_inf(lambda k: np.exp(-k * k), tol=1e-12)]
+
+
+@pytest.mark.parametrize("bad_row", range(3))
+def test_non_finite_value_in_any_row_rejected(bad_row):
+    def f(k):
+        out = [g(k) for g in HALF_LINE_ROWS]
+        out[bad_row] = np.where(k < 5.0, np.nan, out[bad_row])
+        return out
+
+    with pytest.raises(DomainError, match="at finite k"):
+        integrate_semi_inf(f, tol=1e-12)
+    with pytest.raises(DomainError, match=r"on \[0\.0, 0\.125\]"):
+        integrate_interval(f, 0.0, 1.0, tol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [
+    lambda n: (3, 2, n),   # rows of rows
+    lambda n: (0, n),      # no row
+    lambda n: (2, n + 1),  # a value too many
+    lambda n: (n + 1,),
+    lambda n: (),
+])
+def test_wrong_output_shape_rejected(shape):
+    with pytest.raises(InvalidSpecError, match="same shape"):
+        integrate_interval(lambda x: np.ones(shape(x.size)), 0.0, 1.0)
+
+
+def test_row_count_must_not_change_between_calls():
+    calls = []
+
+    def g(x):
+        calls.append(x.size)
+        return np.ones((len(calls) + 1, x.size)) * np.sqrt(x)
+
+    with pytest.raises(InvalidSpecError, match="same shape"):
+        integrate_interval(g, 0.0, 1.0, tol=1e-12)
+    assert len(calls) == 2
 
 
 def test_result_is_plain_record():
