@@ -9,7 +9,6 @@ analytic right-hand side.
 """
 
 from .core import (
-    ArcDivergenceError,
     ConvergenceError,
     DomainError,
     InconsistencyError,
@@ -33,7 +32,6 @@ from .series import Parity
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArcDivergenceError",
     "ConvergenceError",
     "DomainError",
     "InconsistencyError",

@@ -47,10 +47,6 @@ class InconsistencyError(SumRuleError, RuntimeError):
     """Two routes that must agree internally did not."""
 
 
-class ArcDivergenceError(SumRuleError, ValueError):
-    """Rational integrand decays too slowly for a closable contour."""
-
-
 def default_max_terms() -> int:
     """Truncation cap for brute-force sums; SUMRULE_KMAX overrides."""
     raw = os.environ.get(KMAX_ENV_VAR)

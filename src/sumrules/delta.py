@@ -12,7 +12,8 @@ so the sum rules turn into half-line integrals of rational functions.
 The matrix-element kernels below are plain formulas in the continuum
 wavenumber k, a float or an array: each needs every k finite and > 0
 and checks nothing, since their callers integrate over quadrature
-nodes that are positive by construction.
+nodes that are positive by construction.  `bethe_me` gives both parity
+channels of <0|e^{iqx}|k> at once, since they share their denominator.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ import math
 
 import numpy as np
 
-from .core import InvalidSpecError
-from .series import Parity
-
 _PI = math.pi
+_SQRT_4_OVER_PI = math.sqrt(4.0 / _PI)
 
 
 def bound_energy() -> float:
@@ -49,9 +48,9 @@ def x2_me_bound(k):
     return 8.0 * k / (np.sqrt(_PI * (1.0 + k * k)) * (1.0 + k * k) ** 2)
 
 
-def bethe_me(parity: Parity, q: float, k):
-    """<0|e^{iqx}|k> split by parity of the final state, at q > 0 and
-    k > 0.
+def bethe_me(q: float, k):
+    """<0|e^{iqx}|k> split by parity of the final state, as the pair
+    (odd, even), at q > 0 and k > 0, from one D and one k*k.
 
     With D = ((k+q)^2 + 1)((k-q)^2 + 1):
 
@@ -59,11 +58,9 @@ def bethe_me(parity: Parity, q: float, k):
         even: sqrt(4/(pi(1+k^2))) * (-2kq^2) / D
     """
     denom = ((k + q) ** 2 + 1.0) * ((k - q) ** 2 + 1.0)
-    if parity is Parity.ODD:
-        return math.sqrt(4.0 / _PI) * 2.0 * k * q / denom
-    if parity is Parity.EVEN:
-        return np.sqrt(4.0 / (_PI * (1.0 + k * k))) * (-2.0 * k * q * q) / denom
-    raise InvalidSpecError("continuum states are even or odd")
+    odd = _SQRT_4_OVER_PI * 2.0 * k * q / denom
+    even = np.sqrt(4.0 / (_PI * (1.0 + k * k))) * (-2.0 * k * q * q) / denom
+    return odd, even
 
 
 def stark_shift2_delta(F: float) -> float:

@@ -13,7 +13,9 @@ table, whose two routes `_check` builds for `verify` and `stark_verify`
 alike; the one `RuleVerification` returned only passes if both routes do.
 Bethe is the sum of two channel records from `bethe_components`, one
 per parity, each with its rational closed form as the analytic value,
-the residue as closed route and the quadrature as brute route.
+the residue as closed route and the quadrature as brute route.  One
+contour call gives both channels' residues, and one two-row
+integration both quadratures.
 The two routes share nothing past the matrix elements, which is the
 point: agreement is evidence the algebra and the numerics are each
 right, disagreement raises or flags instead of averaging away.
@@ -179,20 +181,21 @@ def bethe_component_closed(parity: Parity, q: float) -> float:
     raise InvalidSpecError("Bethe components are even or odd")
 
 
-def _bethe_residue_component(parity: Parity, q: float) -> float:
-    full_line = residue.contour_integral_uhp(
-        residue.build_bethe_integrand(parity, q, 1.0)
-    )
-    prefactor = 4.0 * q * q / _PI if parity is Parity.ODD else 4.0 * q**4 / _PI
-    return prefactor * full_line
+def _bethe_residues(q: float):
+    """Yield the (odd, even) residue routes at q, from one contour call.
+    The even prefactor's q**4 raises OverflowError above q ~ 1.2e77, so it
+    is formed only when the caller asks for the even channel, after the
+    odd one has passed its cross-check."""
+    odd, even = residue.contour_integral_uhp(q)
+    yield 4.0 * q * q / _PI * odd
+    yield 4.0 * q**4 / _PI * even
 
 
 def _bethe_integrand(q: float):
     """The (odd, even) rows of the Bethe channel integrands over k >= 0."""
     def integrand(k):
         gap = delta.energy_gap(k)
-        odd = delta.bethe_me(Parity.ODD, q, k)
-        even = delta.bethe_me(Parity.EVEN, q, k)
+        odd, even = delta.bethe_me(q, k)
         return gap * odd * odd, gap * even * even
 
     return integrand
@@ -214,8 +217,7 @@ def bethe_components(
     check_finite_positive(tol, "tol")
     quads = quadrature.integrate_semi_inf(_bethe_integrand(q), scale=max(1.0, q), tol=tol)
     channels = []
-    for parity, quad in zip((Parity.ODD, Parity.EVEN), quads):
-        res = _bethe_residue_component(parity, q)
+    for parity, quad, res in zip((Parity.ODD, Parity.EVEN), quads, _bethe_residues(q)):
         dev = rel_err(res, quad.value)
         if not dev <= _CROSS_CHECK_TOL:  # a NaN deviation fails too
             raise InconsistencyError(

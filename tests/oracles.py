@@ -1,9 +1,9 @@
-"""Independent oracles for the tests: wave functions, a full-line
-quadrature and a single-residue wrapper.
+"""Independent oracles for the tests: wave functions and a full-line
+quadrature.
 
 No entry point of the package needs these; the tests use them to
-rebuild matrix elements from their defining integrals and to check the
-contour route one residue at a time.
+rebuild matrix elements and contour values from their defining
+integrals.
 """
 
 import math
@@ -18,7 +18,6 @@ from sumrules.core import (
     check_state_index,
 )
 from sumrules.quadrature import QuadratureResult, _tan_wrapped, integrate_interval
-from sumrules.residue import FactoredRational, _residue_at_exact
 from sumrules.series import Parity
 
 PI = math.pi
@@ -77,11 +76,3 @@ def integrate_real_line(
         _tan_wrapped(f, scale), -0.5 * PI, 0.5 * PI, tol=tol, abs_tol=abs_tol
     )
 
-
-def residue_at(f: FactoredRational, pole_index: int) -> complex:
-    """Residue of f at f.poles[pole_index], rounded once from the exact
-    Taylor coefficient."""
-    if not 0 <= pole_index < len(f.poles):
-        raise InvalidSpecError(f"pole_index {pole_index} out of range")
-    re, im, d = _residue_at_exact(f, pole_index)
-    return complex(re / d, im / d)

@@ -233,12 +233,13 @@ def test_bethe_channel_records(q):
     row = verify(SumRuleSpec("bethe", q=q), ModelKind.DELTA)
     odd, even = row.components
     assert (odd.trace, even.trace) == _bethe_quadrature(q, DEFAULT_TOL)
-    for i, (channel, parity) in enumerate(((odd, Parity.ODD), (even, Parity.EVEN))):
+    pairs = zip((odd, even), (Parity.ODD, Parity.EVEN), engine._bethe_residues(q))
+    for i, (channel, parity, res) in enumerate(pairs):
         assert channel.rule == f"bethe.{parity.value}"
         assert channel.model is ModelKind.DELTA
         assert channel.params == {"q": q}
         assert channel.analytic == bethe_component_closed(parity, q)
-        assert channel.closed == engine._bethe_residue_component(parity, q)
+        assert channel.closed == res
         assert channel.trace == _bethe_quadrature(q, DEFAULT_TOL, row=i)
         assert channel.brute == channel.trace.value
         assert channel.tol == DEFAULT_TOL
@@ -304,9 +305,8 @@ def test_bethe_residue_channels_match_closed_forms_to_the_last_bits():
     whole q range."""
     worst = 0.0
     for q in BETHE_Q_GRID:
-        for parity in (Parity.ODD, Parity.EVEN):
+        for parity, res in zip((Parity.ODD, Parity.EVEN), engine._bethe_residues(q)):
             closed = bethe_component_closed(parity, q)
-            res = engine._bethe_residue_component(parity, q)
             worst = max(worst, abs(res - closed) / closed)
     assert worst <= 1e-15
 
