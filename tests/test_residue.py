@@ -3,8 +3,10 @@
 `residue.contour_integral_uhp(q)` takes one double-pole residue per
 channel in exact Gaussian-rational arithmetic and rounds once.  The
 tests below pin its floats to the general Taylor-series residue engine
-it replaced, hold its exact residues to the textbook closed forms, and
-check its values against quadratures that share none of its code.
+it replaced, hold its exact residues to the textbook closed forms and
+to the Fraction residue engine of tests/oracles.py, and check its
+values against quadratures that share none of its code.  The first
+block checks that oracle on textbook integrals.
 """
 
 import math
@@ -12,12 +14,184 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sumrules.core import InvalidSpecError
 from sumrules.residue import _residues, contour_integral_uhp
 
-from oracles import integrate_real_line
+from oracles import (
+    FactoredRational,
+    contour_integral,
+    integrate_real_line,
+    residue_at,
+    residue_exact,
+    uhp_residue_sum,
+)
 
 PI = math.pi
+
+
+def test_poly_trims_and_evaluates():
+    # with no poles the rational function is its numerator polynomial
+    p = FactoredRational([1.0, 2.0, 0.0, 0.0], [])
+    assert p.numerator == (1 + 0j, 2 + 0j)
+    assert p.degree == 1
+    assert p(3.0) == 7 + 0j
+    assert FactoredRational([], []).numerator == (0j,)
+
+
+def test_simple_pole_residue():
+    # 1/(z^2+1) = 1/((z-i)(z+i)); residue at i is 1/(2i)
+    f = FactoredRational([1.0], [(1j, 1), (-1j, 1)])
+    assert residue_at(f, 0) == pytest.approx(-0.5j)
+
+
+def test_residue_with_numerator_below_pole_order():
+    # (1 + z)/(z^2+1)^3 at i: the odd part z/(z^2+1)^3 has residue 0 there,
+    # so the residue is that of 1/(z^2+1)^3, -3i/16; the numerator's
+    # Taylor series at the pole stops short of the t^2 the residue needs
+    f = FactoredRational([1.0, 1.0], [(1j, 3), (-1j, 3)])
+    assert residue_at(f, 0) == -0.1875j
+    assert contour_integral(f) == 3.0 * PI / 8.0
+    # with no other pole the numerator alone holds h(z0 + t) = 1 + i + t
+    assert residue_at(FactoredRational([1.0, 1.0], [(1j, 3)]), 0) == 0j
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_power_of_lorentzian_is_exact(m):
+    # int (x^2+1)^-m dx = pi C(2m-2, m-1) / 4^(m-1): the residue sum is a
+    # dyadic rational, so one rounding of pi times it is all that is left
+    f = FactoredRational([1.0], [(1j, m), (-1j, m)])
+    assert contour_integral(f) == PI * math.comb(2 * m - 2, m - 1) / 4 ** (m - 1)
+
+
+def test_mixed_pole_orders_match_quadrature():
+    poles = [(1j, 3), (-1j, 3), (complex(2.0, 0.5), 1), (complex(2.0, -0.5), 1)]
+    f = FactoredRational([1.0, 0.5, 2.0, 0.0, -1.5], poles)
+    quad = integrate_real_line(lambda k: f(k).real, scale=2.0, tol=1e-12)
+    assert contour_integral(f) == pytest.approx(quad.value, rel=1e-9)
+
+
+def test_residue_index_out_of_range():
+    f = FactoredRational([1.0], [(1j, 1), (-1j, 1)])
+    with pytest.raises(InvalidSpecError):
+        residue_at(f, 2)
+
+
+def test_lorentzian_contour_is_pi():
+    f = FactoredRational([1.0], [(1j, 1), (-1j, 1)])
+    assert contour_integral(f) == pytest.approx(PI, rel=1e-15, abs=0)
+
+
+def test_contour_matches_quadrature_on_known_integrals():
+    # int 1/(z^2+1)^2 = pi/2; int z^2/(z^2+1)^2 = pi/2
+    f2 = FactoredRational([1.0], [(1j, 2), (-1j, 2)])
+    assert contour_integral(f2) == pytest.approx(PI / 2, rel=1e-14, abs=0)
+    g = FactoredRational([0.0, 0.0, 1.0], [(1j, 2), (-1j, 2)])
+    assert contour_integral(g) == pytest.approx(PI / 2, rel=1e-14, abs=0)
+
+
+def test_shifted_pole_pair():
+    # 1/((z-a)^2+b^2) integrates to pi/b independent of the real shift a
+    for a, b in [(0.7, 1.0), (-2.0, 0.5), (3.5, 2.0)]:
+        f = FactoredRational(
+            [1.0], [(complex(a, b), 1), (complex(a, -b), 1)]
+        )
+        assert contour_integral(f) == pytest.approx(PI / b, rel=1e-13, abs=0)
+
+
+def test_linearity_is_exact():
+    poles = [(1 + 1j, 2), (1 - 1j, 2), (-1 + 1j, 2), (-1 - 1j, 2)]
+    f = FactoredRational([1.0], poles)
+    g = FactoredRational([0.0, 0.0, 1.0], poles)
+    combined = FactoredRational([2.0, 0.0, 3.0], poles)
+    assert contour_integral(combined) == pytest.approx(
+        2.0 * contour_integral(f) + 3.0 * contour_integral(g), rel=1e-15, abs=0
+    )
+    # and the exact residue sums are linear to the last bit
+    (fr, fi), (gr, gi) = uhp_residue_sum(f), uhp_residue_sum(g)
+    assert uhp_residue_sum(combined) == (2 * fr + 3 * gr, 2 * fi + 3 * gi)
+
+
+def _mirror_symmetric(f):
+    """Whether f(-conj z) = conj f(z) holds identically: a real, even
+    numerator over a pole set closed under z -> -conj z with equal
+    orders, the symmetry that lets the closed form take one residue per
+    mirror pair."""
+    if any(c.imag != 0 or (p % 2 and c != 0) for p, c in enumerate(f.numerator)):
+        return False
+    poles = set(f.poles)
+    return all((complex(-z.real, z.imag), m) in poles for z, m in f.poles)
+
+
+# float.hex of the contour value, frozen before the mirror rule
+_GENERIC_HEX = [
+    # poles a +- bi with a != 0 and no mirror partner
+    ([1.0], [(complex(0.7, 1.0), 1), (complex(0.7, -1.0), 1)], "0x1.921fb54442d18p+1"),
+    (
+        [1.0, 0.5, 2.0, 0.0, -1.5],
+        [(1j, 3), (-1j, 3), (complex(2.0, 0.5), 1), (complex(2.0, -0.5), 1)],
+        "-0x1.08c56e7cee926p-5",
+    ),
+    # the first pole's mirror partner is there, the last pair's is not
+    (
+        [1.0],
+        [(1 + 1j, 1), (1 - 1j, 1), (-1 + 1j, 1), (-1 - 1j, 1), (2 + 1j, 1), (2 - 1j, 1)],
+        "0x1.d62cf373424f9p-3",
+    ),
+    # a mirror-closed pole set under a numerator with an odd power
+    ([1.0, 0.5, 2.0], [(1 + 1j, 2), (1 - 1j, 2), (-1 + 1j, 2), (-1 - 1j, 2)], "0x1.5fdbbe9bba775p-2"),
+]
+
+
+@pytest.mark.parametrize("numerator, poles, value_hex", _GENERIC_HEX)
+def test_integrands_without_mirror_symmetry_take_the_generic_path(numerator, poles, value_hex):
+    f = FactoredRational(numerator, poles)
+    assert not _mirror_symmetric(f)
+    assert contour_integral(f).hex() == value_hex
+
+
+@pytest.mark.parametrize(
+    "numerator, poles, value_hex",
+    [
+        ([1.0], [(1j, 2), (-1j, 2)], "0x1.921fb54442d18p+0"),
+        (
+            [1.0, 0.0, 1.0],
+            [(1 + 1j, 2), (1 - 1j, 2), (-1 + 1j, 2), (-1 - 1j, 2), (2j, 1), (-2j, 1)],
+            "0x1.9a2a950d4e651p-5",
+        ),
+    ],
+)
+def test_poles_on_the_imaginary_axis_take_the_mirror_path(numerator, poles, value_hex):
+    """Under the mirror symmetry the residue at -conj z0 is exactly
+    -conj of the one at z0, so a pole on the imaginary axis, its own
+    mirror, has a purely imaginary residue."""
+    f = FactoredRational(numerator, poles)
+    assert _mirror_symmetric(f)
+    for index, (z, m) in enumerate(f.poles):
+        re, im = residue_exact(f, index)
+        mirror = f.poles.index((complex(-z.real, z.imag), m))
+        assert residue_exact(f, mirror) == (-re, im)
+    assert contour_integral(f).hex() == value_hex
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    b=st.floats(0.2, 4.0),
+    a=st.floats(-3.0, 3.0),
+)
+def test_residue_sum_real_part_vanishes(a, b):
+    """For real-on-axis integrands the UHP residue sum is purely
+    imaginary, so 2 pi i times it is purely real; exact arithmetic makes
+    this an identity rather than an approximation."""
+    f = FactoredRational(
+        [1.0], [(complex(a, b), 2), (complex(a, -b), 2)]
+    )
+    assert uhp_residue_sum(f)[0] == 0
+    value = contour_integral(f)
+    quad = integrate_real_line(lambda k: f(k).real, scale=max(1.0, abs(a) + b), tol=1e-11)
+    assert value == pytest.approx(quad.value, rel=1e-9)
 
 
 def _integrands(q):
@@ -50,6 +224,22 @@ def _as_fractions(x):
     """The exact (a, b, d) triple as the pair (a/d, b/d) of Fractions."""
     a, b, d = x
     return (Fraction(a, d), Fraction(b, d))
+
+
+def test_closed_form_residues_equal_the_taylor_series_oracle():
+    """Both parts of each closed-form residue at q + i equal, as
+    Fractions, the general Taylor-series residue of the channel's
+    rational integrand at its double pole q + i."""
+    rng = random.Random(20261021)
+    qs = [5e-324, 1e-300, 1.0, 19.881398211747452, 1e300]
+    for q in qs + [10.0 ** rng.uniform(-4.0, 4.0) for _ in range(8)]:
+        poles = [(complex(s * q, t), 2) for s in (1.0, -1.0) for t in (1.0, -1.0)]
+        channels = (
+            FactoredRational([0.0, 0.0, 1.0, 0.0, 1.0], poles),
+            FactoredRational([0.0, 0.0, 1.0], poles),
+        )
+        for closed, f in zip(_residues(q), channels):
+            assert _as_fractions(closed) == residue_exact(f, 0)
 
 
 def test_mirror_path_sum_is_the_exact_sum_over_every_uhp_pole():
