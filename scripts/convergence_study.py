@@ -20,8 +20,9 @@ from sumrules import engine, series  # noqa: E402
 COLUMNS = ("rule", "n", "max_terms", "value", "closed",
            "abs_err", "tail_estimate", "within_tail")
 
-# no last term is ever <= 0 * |value|, so neither the convergence test nor
-# the roundoff stop fires and every ladder rung runs to its cap
+# tol only sets `converged`, which no residual meets at 0; a rung's sum
+# runs to its cap or, past it, to the cutoff where the tail bound falls
+# under the roundoff allowance
 EXHAUSTIVE_TOL = 0.0
 
 # the box rules: bethe has no lattice sum
@@ -75,7 +76,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=comma_ints, default="1,2,5,10",
                         help="comma list of quantum numbers")
-    parser.add_argument("--caps", type=comma_ints, default="100,1000,10000,100000",
+    parser.add_argument("--caps", type=comma_ints, default="10,30,100,1000",
                         help="comma list of truncation caps")
     parser.add_argument("--out", default=None)
     return run(parser.parse_args())

@@ -89,8 +89,8 @@ class TruncationTrace:
     geometrically spaced checkpoints (always ending with the final one),
     and `checkpoint_terms` the number of terms summed at each of them.
     `tail_estimate` bounds the residual error left after the correction,
-    so `converged` means both the last term and the tail estimate fell
-    below the requested tolerance.
+    so `converged` means it fell within the requested tolerance of
+    |value|.
     """
 
     value: float

@@ -24,10 +24,17 @@ lose no digits and the integer or half-integer z of the box rules give
 X = 0 exactly.  Near z = 0 the closed forms lose digits to cancellation,
 so |z| < 1/2 switches to the absolutely convergent zeta expansion
 S_p(z) = sum_j C(p-1+j, j) zeta_L(2p+2j) z^(2j) over the same lattice L.
+
+The brute route, `brute_sum`, adds the terms themselves.  For integer
+z = n those below 2n come as mirror pairs k = n -+ j, whose opposite signs
+(odd p) cancel in exact-integer numerators, not in the sum; the rest are
+one numpy scan to a cutoff fixed in advance, and a certified midpoint
+Euler-Maclaurin tail.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
@@ -360,77 +367,120 @@ def removed_term_sum_limit(
 
 # -- brute-force summation ---------------------------------------------------
 
-# Chunks double the summed total: 1024, 1024, 2048, ... 32768 terms, then
-# _CHUNK per chunk, so a sum that settles early pays for at most twice the
-# terms it needed, and every chunk ends on the 1, 2, 4, ... checkpoint grid
-# (multiples of _CHUNK past it).
-_CHUNK_FLOOR = 1024
+# Most summands one numpy temporary holds: the scan runs in blocks of at
+# most this many terms or pairs.
 _CHUNK = 65536
+_EPS = float(np.finfo(float).eps)
+# eps of the largest terms that the tail bound must fall under at the
+# cutoff, and eps of the summed magnitude that roundoff may take: each
+# summand is good to a few ulps, a pairwise block sum to log2(_CHUNK) = 16
+_CUTOFF_EPS, _ROUNDOFF_EPS = 1.0, 32.0
 
 
 def checkpoint_indices(n: int) -> list[int]:
     """1-based geometric checkpoint schedule 1, 2, 4, ... capped at n."""
-    out = []
-    i = 1
-    while i < n:
-        out.append(i)
-        i *= 2
-    out.append(n)
-    return out
+    return [2**i for i in range(max(0, (n - 1).bit_length()))] + [n]
 
 
-def _term_chunk(
-    k: np.ndarray, p: int, z2: float, weight_k2: bool, exclude: int | None
-) -> np.ndarray:
-    base = k * k - z2
-    mask = k == float(exclude) if exclude is not None else None
-    if mask is not None:
-        base = np.where(mask, 1.0, base)  # dummy to keep the division finite
-    values = (k * k if weight_k2 else 1.0) / base**p
-    if mask is not None:
-        values = np.where(mask, 0.0, values)
-    return values
+@functools.cache
+def _pair_numerator(p: int, w: int) -> tuple[float, ...]:
+    """M, highest power first, with N(t) = (1+t)^(2w) (2-t)^p + (-1)^p
+    (1-t)^(2w) (2+t)^p = t^(p mod 2) M(t^2): the second product is the
+    first at -t, so N is twice the first's powers of the parity of p."""
+    first = [1]
+    for (a, b), e in (((1, 1), 2 * w), ((2, -1), p)):
+        for _ in range(e):  # times (a + b t), in exact ints
+            first = [a * lo + b * hi for lo, hi in zip(first + [0], [0] + first)]
+    return tuple(float(2 * c) for c in reversed(first[p % 2::2]))
 
 
-def _tail_integral(
-    X: float, step: int, p: int, z2: float, weight_k2: bool
-) -> tuple[float, float]:
-    """(integral_X^inf of the term function, truncation allowance).
+def _pair_terms(j: np.ndarray, n: float, p: int, w: int) -> np.ndarray:
+    """f(n + j) + f(n - j) for f(k) = k^(2w) / (k^2 - n^2)^p, as
+    n^(2w-p) N(t) / (j (2+t)(2-t))^p with t = j/n: for odd p the terms'
+    opposite signs cancel in the exact coefficients of N, not in the sum."""
+    t = j / n
+    u = t * t
+    scale = n ** (2 * w - p)
+    lead, *rest = _pair_numerator(p, w)
+    num = lead * scale
+    for c in rest:
+        num = num * u + c * scale
+    if p % 2:
+        num = num * t
+    return num / (j * (4.0 - u)) ** p
 
-    Expands (x^2 - z^2)^-p in powers of z^2/x^2 and integrates term by
-    term; valid once X is safely beyond |z|.  The allowance also covers
-    the midpoint rule's error over lattice spacing `step`, through a
-    bound on the term function's derivative at X.  Returns (0, crude
-    bound) when the expansion is not trusted and (0, inf) once the pole
-    sits at or beyond the cutoff, where no finite tail bound exists.
+
+def _plain_terms(k, p: int, z2: float, w: int):
+    """f(k) = k^(2w) / (k^2 - z^2)^p, for a float or an array of them."""
+    k2 = k * k
+    return (k2 if w else 1.0) / (k2 - z2) ** p
+
+
+def _euler_maclaurin(X: float, h: int, p: int, z2: float, w: int) -> tuple[float, float]:
+    """((h/24) f'(X), (7h^3/5760) |f'''(X)|): the midpoint correction and
+    the first omitted term, from s = x^2 - z^2, f = s^-p or, for w = 1,
+    s^(1-p) + z^2 s^-p, (s^m)' = 2m x s^(m-1) and
+    (s^m)''' = 12m(m-1) x s^(m-2) + 8m(m-1)(m-2) x^3 s^(m-3)."""
+    s = X * X - z2
+    d1 = d3 = 0.0
+    for m, c in ((1 - p, 1.0), (-p, z2)) if w else ((-p, 1.0),):
+        power = c * X * s ** (m - 3)
+        d1 += 2 * m * s * s * power
+        d3 += m * (m - 1) * (12 * s + 8 * (m - 2) * X * X) * power
+    return h * d1 / 24.0, 7.0 * h**3 / 5760.0 * abs(d3)
+
+
+def _tail(X: float, h: int, p: int, z2: float, w: int, atol: float) -> tuple[float, float]:
+    """(sum of f over the lattice points past X = K + h/2, a bound on its
+    error): the integral from X over h plus (h/24) f'(X).  Past |z| f is a
+    positive series in x^-2, so completely monotone, and the remainder is
+    bounded by the next term (DLMF 2.10; Olver, Asymptotics and Special
+    Functions, ch. 8).  The series, in z^2/X^2 < 1/4, is integrated term
+    by term until a term is under atol h; the rest is under twice the last.
     """
-    w = 1 if weight_k2 else 0
     ratio = z2 / (X * X)
-    if ratio > 0.5:
-        # pole at or past the cutoff: no correction, no finite bound
-        return 0.0, math.inf
-    base = X * X - z2
-    derivative = abs(X ** (2 * w - 1) * (2 * w * base - 2 * p * X * X) / base ** (p + 1))
-    midpoint = 2.0 * (step * derivative / 24.0)
-    if ratio > 0.25:
-        # (1 - ratio)^-p <= 2^p here, so a rescaled power integral bounds
-        # the true one; not tight, only reached when max_terms ran out
-        exponent = 2 * p - 2 * w - 1
-        crude = 2.0 ** (p + 1) * X ** (-exponent) / exponent
-        return 0.0, abs(crude) + midpoint
-    acc = 0.0
-    lead = X ** (-(2 * p - 2 * w - 1))
-    term_power = 1.0
-    last = math.inf
+    e = 2 * (p - w) - 1  # the first term integrates to X^-e / e
+    term = integral = X**-e / e
     for j in range(60):
-        exponent = 2 * p + 2 * j - 2 * w - 1
-        term = math.comb(p - 1 + j, j) * term_power * lead / exponent
-        acc += term
-        last = abs(term)
-        if last <= 1e-17 * abs(acc):
+        # C(p+j, j+1) / C(p-1+j, j) = (p+j) / (j+1); the exponent gains 2
+        term *= ratio * ((p + j) * (e + 2 * j)) / ((j + 1) * (e + 2 * j + 2))
+        integral += term
+        if term <= atol * h:
             break
-        term_power *= ratio
-    return acc, 2.0 * last + midpoint
+    correction, bound = _euler_maclaurin(X, h, p, z2, w)
+    return integral / h + correction, 2.0 * term / h + bound
+
+
+def _scan(pairs: int, run: tuple[int, int], n: int, j0: int, h: int, p: int,
+          z2: float, w: int) -> tuple[float, float, list[float], list[int]]:
+    """Sum `pairs` mirror pairs j = j0, j0 + h, ... about n, then the run
+    (k, count) of plain terms k, k + h, ..., in blocks of at most _CHUNK.
+    Returns the total, the sum of |summand|, and the partial sums after
+    1, 2, 4, ... _CHUNK summands, each multiple of _CHUNK and the end,
+    with the terms each holds, a pair counting as two."""
+    k_run, count = run
+    count += pairs
+    marks = checkpoint_indices(min(count, _CHUNK)) + list(range(2 * _CHUNK, count, _CHUNK))
+    marks += [count] if count > _CHUNK else []
+    total = abs_total = 0.0
+    checkpoints: list[float] = []
+    for lo in range(0, count, _CHUNK):
+        hi = min(count, lo + _CHUNK)
+        parts = []
+        if lo < pairs:
+            j = np.arange(j0 + h * lo, j0 + h * min(hi, pairs), h, dtype=float)
+            parts.append(_pair_terms(j, float(n), p, w))
+        if hi > pairs:
+            k_lo = k_run + h * max(0, lo - pairs)
+            k = np.arange(k_lo, k_run + h * (hi - pairs), h, dtype=float)
+            parts.append(_plain_terms(k, p, z2, w))
+        values = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        partial = values.cumsum()
+        checkpoints += [total + float(partial[m - lo - 1]) for m in marks if lo < m <= hi]
+        total += float(values.sum())
+        abs_total += float(np.abs(values).sum())
+    checkpoints[-1] = total  # the pairwise sum, not the running one
+    return total, abs_total, checkpoints, [m + min(m, pairs) for m in marks]
 
 
 def brute_sum(
@@ -442,18 +492,21 @@ def brute_sum(
     tol: float = DEFAULT_TOL,
     max_terms: int | None = None,
 ) -> TruncationTrace:
-    """Direct partial summation of sum_k k^(2w) / (k^2 - z^2)^p.
+    """Direct partial summation of sum_k f(k), f(k) = k^(2w) / (k^2 - z^2)^p,
+    over the chosen lattice of spacing h, with an Euler-Maclaurin tail.
 
-    Runs over the chosen lattice (skipping `exclude` if given), in numpy
-    chunks that double the summed total from _CHUNK_FLOOR terms up to
-    _CHUNK terms each, until the last term and the post-correction tail
-    residual both drop below tol relative to the running value or
-    `max_terms` is hit.  The scan also stops, unconverged, once the last
-    term and the truncation part of the residual are below tol but the
-    roundoff allowance alone keeps the residual above it: that allowance
-    only grows with more terms, so none could converge.  The returned
-    value includes a midpoint-integral tail correction; `tail_estimate`
-    bounds what that correction can still be missing.
+    For integer z = n the terms k = n -+ j, 1 <= j < n, are summed as one
+    pair (`_pair_terms`); k = n is never summed, and `exclude`, if given,
+    must name it.  The terms from 2n on (every term for other z) are a
+    plain scan up to a cutoff K, past which `_tail` sums the rest.  K is
+    the first lattice point past 2|z| + 4h where the tail bound is under
+    _CUTOFF_EPS eps of the largest pair and plain term, a floor under the
+    summed magnitude, so K is known before any term is summed.
+    `tail_estimate` is the tail bound plus _ROUNDOFF_EPS eps of the summed
+    magnitude, and `converged` says it is within tol of |value|.
+    `max_terms` caps the terms summed, a pair counting as two; a cap that
+    ends the scan before 2|z| + 4h leaves no tail bound: the value is the
+    bare partial sum and `tail_estimate` is infinite.
     """
     if p < 1 or not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise InvalidSpecError(f"p must be a positive integer, got {p!r}")
@@ -466,75 +519,59 @@ def brute_sum(
     if 2 * p - (2 if weight_k2 else 0) < 2:
         raise InvalidSpecError("summand does not decay: need 2p - 2w >= 2")
 
-    start, step = _lattice(parity)
+    p, w = int(p), 1 if weight_k2 else 0
+    start, h = _lattice(parity)
     z2 = z * z
     az = abs(z)
-    # a lattice point sitting exactly on the pole must be excluded
     nearest = _nearest_lattice_point(z, parity)
     if abs(az - nearest) < 1e-12 and exclude != nearest:
         raise DomainError(f"z={z} lies on the summation lattice; pass exclude={nearest}")
+    n = int(az) if az == int(az) else 0  # the pairs need an integer pole
+    if exclude is not None and exclude != n:
+        raise InvalidSpecError(f"exclude must be the pole k = |z|, got {exclude}")
 
-    checkpoints: list[float] = []
-    checkpoint_terms: list[int] = []
-    total = 0.0
-    abs_total = 0.0  # roundoff scale: cancellation can leave |total| << this
-    chunks = 0
-    terms_used = 0
-    last_term = math.inf
-    converged = False
-    k_next = start
-    eps = float(np.finfo(float).eps)
+    j0 = 1 + (start - n - 1) % h  # first j with n + j on the lattice
+    pairs = max(0, (n - j0 + h - 1) // h)  # j = j0, j0 + h, ... < n
+    first = 2 * n + (start - 2 * n) % h if n else start  # first plain k
+    clear = start + h * (math.floor((2.0 * az + 4.0 * h - start) / h) + 1)
+    plain_max = max_terms - 2 * pairs  # plain terms the cap leaves
 
-    def roundoff() -> float:
-        # pairwise chunk sums are good to log2(chunk) ~ 16 ulps of the
-        # absolute mass; per-term rounding and the scalar adds between
-        # chunks are covered by the rest
-        return (32.0 + chunks) * eps * abs_total
-
-    while True:  # max_terms >= 1, so at least one chunk
-        count = min(_CHUNK, max(_CHUNK_FLOOR, terms_used), max_terms - terms_used)
-        k = k_next + step * np.arange(count, dtype=float)
-        values = _term_chunk(k, p, z2, weight_k2, exclude)
-        if terms_used == 0:
-            # fine-grained checkpoints inside the first chunk
-            partial = np.cumsum(values)
-            for idx in checkpoint_indices(count):
-                checkpoints.append(float(total + partial[idx - 1]))
-                checkpoint_terms.append(idx)
-            total += float(np.sum(values))
-            checkpoints[-1] = total
-        else:
-            total += float(np.sum(values))
-            checkpoints.append(total)
-            checkpoint_terms.append(terms_used + count)
-        abs_total += float(np.sum(np.abs(values)))
-        chunks += 1
-        terms_used += count
-        k_next = k_next + step * count
-        last_term = abs(float(values[-1]))
-
-        capped = terms_used >= max_terms
-        clear = k_next - step > 2.0 * az + 4.0 * step  # last summed point well past |z|
-        if not (clear or capped):
-            continue
-        X = (k_next - step) + step / 2.0
-        integral, truncation = _tail_integral(X, step, p, z2, weight_k2)
-        residual = truncation + roundoff()
-        value = total + integral / step
-        bound = tol * max(abs(value), REL_ERR_FLOOR)
-        if clear and last_term <= bound and truncation <= bound:
-            # only roundoff() can still hold the residual over the
-            # bound, and it grows with every chunk: stop either way
-            converged = residual <= bound
-            break
-        if capped:
-            break
+    if plain_max < (clear - first) // h + 1:
+        # no tail bound; an odd cap inside the pairs ends on a lower term
+        done = min(pairs, max_terms // 2)
+        run = (first, plain_max) if done == pairs else (n - j0 - h * done, max_terms % 2)
+        value, _, checkpoints, checkpoint_terms = _scan(done, run, n, j0, h, p, z2, w)
+        residual, converged = math.inf, False
+    else:
+        floor = abs(_plain_terms(float(first if n else nearest), p, z2, w))
+        if pairs:
+            floor += abs(_plain_terms(float(n - j0), p, z2, w)
+                         + _plain_terms(float(n + j0), p, z2, w))
+        allowance = _CUTOFF_EPS * _EPS * max(floor, REL_ERR_FLOOR)
+        X = clear + h / 2.0
+        bound = _euler_maclaurin(X, h, p, z2, w)[1]
+        if bound > allowance:
+            # bound(X) X^(1/a) falls with X, so X -> X (bound(X) / allowance)^a
+            # maps points below the crossing above it and back: X3 is above
+            a = 1.0 / (2 * p - 2 * w + 3)
+            X *= (bound / allowance) ** a
+            for _ in range(2):
+                X = max(clear + h / 2.0,
+                        X * (_euler_maclaurin(X, h, p, z2, w)[1] / allowance) ** a)
+        last_cap = first + h * (plain_max - 1)
+        X -= h / 2.0
+        last = last_cap if X >= last_cap else start + h * math.ceil((X - start) / h)
+        total, abs_total, checkpoints, checkpoint_terms = _scan(
+            pairs, (first, (last - first) // h + 1), n, j0, h, p, z2, w)
+        tail, bound = _tail(last + h / 2.0, h, p, z2, w, allowance / 16.0)
+        value = total + tail
+        residual = bound + _ROUNDOFF_EPS * _EPS * (abs_total + abs(tail))
+        converged = residual <= tol * max(abs(value), REL_ERR_FLOOR)
     return TruncationTrace(
         value=value,
         partial_sums=tuple(checkpoints),
         checkpoint_terms=tuple(checkpoint_terms),
-        terms_used=terms_used,
+        terms_used=checkpoint_terms[-1],
         tail_estimate=residual,
         converged=converged,
     )
-

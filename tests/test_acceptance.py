@@ -168,6 +168,6 @@ def test_criterion_10_cli(capsys):
         assert rows[0]["rel_err_brute"] == again.rel_err_brute
 
         assert cli.main(["verify", "--model", "isw", "--rule", "closure",
-                         "--n", "1", "--tol", "1e-30", "--kmax", "50"]) == 1
+                         "--n", "1", "--tol", "1e-30", "--kmax", "10"]) == 1
         capsys.readouterr()
         assert time.monotonic() - started < 60.0

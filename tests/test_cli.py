@@ -82,7 +82,7 @@ def test_bethe_detail_reuses_row_components(capsys, monkeypatch):
 def test_forced_failure_exits_1(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--model", "isw", "--rule", "closure",
-        "--n", "1", "--tol", "1e-30", "--kmax", "50",
+        "--n", "1", "--tol", "1e-30", "--kmax", "10",
     )
     assert code == 1
     assert "FAIL" in out

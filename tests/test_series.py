@@ -8,7 +8,9 @@ land inside their own tail estimates.
 """
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from sumrules.series import (
 )
 
 PI = math.pi
+EPS = np.finfo(float).eps
 
 # z values at least POLE_GUARD away from every integer lattice
 SAFE_Z = [0.07, 0.25, 0.4, 0.61, 1.31, 2.45, 3.52, 7.63]
@@ -225,44 +228,67 @@ def test_tail_estimate_infinite_when_pole_past_cutoff():
 
 
 @pytest.mark.parametrize("p, z, parity, cap", [
-    (3, 2, Parity.ODD, 1),  # trk at n = 2: k = 1, cutoff X = 2
+    (3, 2, Parity.ODD, 1),  # trk at n = 2: the lower term k = 1 of pair j = 1
     (4, 2, Parity.ODD, 1),  # closure at n = 2
     (5, 2, Parity.ODD, 1),  # stark at n = 2
-    (3, 5, Parity.EVEN, 2),  # k = 2, 4, cutoff X = 5
+    (3, 5, Parity.EVEN, 2),  # the pair k = 4, 6
 ])
 def test_tail_estimate_infinite_when_cap_puts_cutoff_on_pole(p, z, parity, cap):
-    # X = last k + step/2 lands exactly on |z|, where the term function
-    # and its derivative bound blow up: an unconverged trace, no crash
+    # a cap that ends the scan before 2|z| + 4h leaves the tail with no
+    # bound: an unconverged trace with an infinite estimate, no crash
     trace = brute_sum(p, z, parity, weight_k2=True, max_terms=cap)
     assert not trace.converged
     assert trace.terms_used == cap
     assert math.isinf(trace.tail_estimate)
-    start, step = (1, 2) if parity is Parity.ODD else (2, 2)
-    assert trace.value == math.fsum(
-        k * k / (k * k - z * z) ** p for k in range(start, start + step * cap, step)
+    # whole pairs k = z -+ j first, then at an odd cap the lower term of
+    # the next; the value is their bare sum
+    summed = (z - 1, z + 1)[:cap]
+    assert trace.value == pytest.approx(
+        math.fsum(k * k / (k * k - z * z) ** p for k in summed), rel=4e-16, abs=0
     )
 
 
 def test_brute_respects_max_terms():
+    # the cutoff of S_1(1/2) lies near k = 630, so the cap binds, and the
+    # tail past k = 137 is still bounded
     trace = brute_sum(1, 0.5, max_terms=137)
-    assert trace.terms_used <= 137
-    assert not trace.converged  # p = 1 cannot settle in 137 terms at default tol
+    assert trace.terms_used == 137
+    assert abs(trace.value - 2.0) <= trace.tail_estimate
+    assert brute_sum(1, 0.5).terms_used > 137
 
 
 def test_checkpoint_terms_aligns_with_partial_sums():
-    for cap in (100, 70_000, 200_000):
-        # tol = 0 never converges, so every sum runs to its cap
-        trace = brute_sum(1, 0.5, tol=0.0, max_terms=cap)
+    # z = 70 000.5 puts the first point past 2|z| + 4 at k = 140 006, a
+    # plain scan of three blocks; a cap of 100 ends it before that
+    z = 70_000.5
+    k = np.arange(1, 140_100, dtype=float)
+    values = 1.0 / (k * k - z * z)
+    for cap in (100, None):
+        trace = brute_sum(1, z, max_terms=cap)
+        used = trace.terms_used
         terms = trace.checkpoint_terms
         assert len(terms) == len(trace.partial_sums)
-        assert terms[-1] == trace.terms_used == cap
-        # powers of two up to 65 536, then multiples of 65 536, then the cap
-        grid = [2**i for i in range(17)] + list(range(2 * 65536, cap, 65536))
-        assert list(terms) == [t for t in grid if t < cap] + [cap]
-        # sum_{k <= t} 1/(k^2 - 1/4) telescopes to 4t/(2t + 1); one term
-        # more or fewer would move it by about 1/t^2
+        assert terms[-1] == used == (cap or 140_006)
+        # powers of two up to 65 536, then multiples of 65 536, then the end
+        grid = [2**i for i in range(17)] + list(range(2 * 65536, used, 65536))
+        assert list(terms) == [t for t in grid if t < used] + [used]
         for t, partial in zip(terms, trace.partial_sums):
-            assert partial == pytest.approx(4 * t / (2 * t + 1), rel=1e-12, abs=0)
+            exact = math.fsum(values[:t])
+            assert abs(partial - exact) <= 64 * EPS * float(np.sum(np.abs(values[:t])))
+
+
+def test_checkpoints_count_a_pair_as_two_terms():
+    """trk at n = 1000 sums 500 mirror pairs k = 1000 -+ j, j odd, before
+    its plain scan from k = 2001."""
+    closed, kwargs = _box_lattice_sum("trk", 1000)
+    trace = brute_sum(**kwargs)
+    assert trace.checkpoint_terms[:9] == tuple(2 ** i for i in range(1, 10))
+    # exact: the two terms cancel to 1e-3 of each, which a float sum of
+    # them would leave in the fourth-to-last digit
+    pair = float(sum(Fraction(k * k, (k * k - 10**6) ** 3) for k in (999, 1001)))
+    assert trace.partial_sums[0] == pytest.approx(pair, rel=4e-16, abs=0)
+    # summand 512 is the 12th plain term after the 500 pairs
+    assert trace.checkpoint_terms[9] == 2 * 500 + 12
 
 
 def _box_lattice_sum(rule, n):
@@ -280,8 +306,8 @@ BOX_RULES = ("closure", "trk", "monopole", "stark")
 
 @pytest.mark.parametrize("rule", BOX_RULES)
 def test_box_sums_converge_within_16384_terms(rule):
-    """Chunks double from 1024 terms, so no default-tol box sum up to
-    n = 1000 pays for a full 65 536-term chunk."""
+    """Up to n = 1000 a default-tol box sum takes the terms below 2n, as
+    mirror pairs, and a short plain scan past them."""
     for n in (1, 2, 10, 100, 1000):
         _, kwargs = _box_lattice_sum(rule, n)
         trace = brute_sum(**kwargs)
@@ -297,16 +323,17 @@ def test_box_sums_stay_inside_tail_estimate(rule):
         assert abs(trace.value - closed) <= trace.tail_estimate + 4 * math.ulp(closed)
 
 
-@pytest.mark.parametrize("rule", ["trk", "monopole"])
-def test_roundoff_bound_stops_the_scan_early(rule):
-    """At n = 1e5 only the roundoff allowance on the cancelling near-pole
-    terms keeps the residual over tol; it grows with every term, so the
-    scan gives up long before the 10M-term cap, with an honest bound."""
+@pytest.mark.parametrize("tol", [1e-9, 1e-12])
+@pytest.mark.parametrize("rule", ["trk", "monopole", "stark"])
+def test_large_n_box_sums_converge_within_bound(rule, tol):
+    """At n = 1e5 the odd-p terms change sign at the pole; summed as mirror
+    pairs they do not cancel, so the roundoff allowance stays a few eps
+    of the value and the sum converges, within its bound."""
     n = 100_000
     closed, kwargs = _box_lattice_sum(rule, n)
-    trace = brute_sum(**kwargs)
-    assert not trace.converged
-    assert trace.terms_used < 1_000_000
+    trace = brute_sum(**kwargs, tol=tol)
+    assert trace.converged
+    assert trace.tail_estimate <= tol * abs(trace.value)
     assert abs(trace.value - closed) <= trace.tail_estimate + 4 * math.ulp(closed)
 
 
@@ -325,6 +352,11 @@ def test_brute_lattice_pole_rejected():
     # excluding the offending k makes the sum well defined again
     trace = brute_sum(2, 3, exclude=3, max_terms=10_000)
     assert math.isfinite(trace.value)
+    # only the pole can be struck out
+    with pytest.raises(InvalidSpecError):
+        brute_sum(2, 3, Parity.EVEN, exclude=2)
+    with pytest.raises(InvalidSpecError):
+        brute_sum(2, 2.5, exclude=2)
 
 
 def test_invalid_queries():
