@@ -12,8 +12,9 @@ so the sum rules turn into half-line integrals of rational functions.
 The matrix-element kernels below are plain formulas in the continuum
 wavenumber k, a float or an array: each needs every k finite and > 0
 and checks nothing, since their callers integrate over quadrature
-nodes that are positive by construction.  `bethe_me` gives both parity
-channels of <0|e^{iqx}|k> at once, since they share their denominator.
+nodes that are positive by construction.  `bethe_strengths` gives both
+parity channels of the Bethe integrand at once, since they share their
+denominator, and takes the offset s = k - q from the peak.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import numpy as np
 
 _PI = math.pi
-_SQRT_4_OVER_PI = math.sqrt(4.0 / _PI)
+_EIGHT_OVER_PI = 8.0 / _PI
 
 
 def bound_energy() -> float:
@@ -48,19 +49,24 @@ def x2_me_bound(k):
     return 8.0 * k / (np.sqrt(_PI * (1.0 + k * k)) * (1.0 + k * k) ** 2)
 
 
-def bethe_me(q: float, k):
-    """<0|e^{iqx}|k> split by parity of the final state, as the pair
-    (odd, even), at q > 0 and k > 0, from one D and one k*k.
+def bethe_strengths(q: float, s):
+    """The Bethe channel integrands (E_k - E_0) |<0|e^{iqx}|k>|^2 over odd
+    and even final states, as the pair (odd, even), at k = q + s > 0:
 
-    With D = ((k+q)^2 + 1)((k-q)^2 + 1):
+        odd:  (8/pi) q^2 k^2 (k^2 + 1) / D^2      even:  (8/pi) q^4 k^2 / D^2
 
-        odd:  sqrt(4/pi) * 2kq / D          (times i, dropped as phase)
-        even: sqrt(4/(pi(1+k^2))) * (-2kq^2) / D
+    the gap (k^2 + 1)/2 times the squared elements sqrt(4/pi) 2kq / D (an
+    i dropped) and sqrt(4/(pi (1 + k^2))) 2kq^2 / D.  One k*k, and one
+    D = ((2q + s)^2 + 1)(s^2 + 1), formed from s so that a node near the
+    peak k = q keeps its accuracy at any q.  The numerators come first, so
+    a q too large for them gives inf or NaN, never a value short of its peak.
     """
-    denom = ((k + q) ** 2 + 1.0) * ((k - q) ** 2 + 1.0)
-    odd = _SQRT_4_OVER_PI * 2.0 * k * q / denom
-    even = np.sqrt(4.0 / (_PI * (1.0 + k * k))) * (-2.0 * k * q * q) / denom
-    return odd, even
+    k = q + s
+    k2 = k * k
+    d = ((2.0 * q + s) ** 2 + 1.0) * (s * s + 1.0)
+    dd = d * d
+    qk2 = _EIGHT_OVER_PI * (q * q) * k2
+    return qk2 * (k2 + 1.0) / dd, qk2 * (q * q) / dd
 
 
 def stark_shift2_delta(F: float) -> float:

@@ -6,7 +6,7 @@ are compared against the analytic right-hand side:
   closed   lattice sums collapsed through cotangent identities (box) or
            half-line moments and contour residues (delta well)
   brute    direct truncated summation with a tail correction (box) or
-           adaptive quadrature of the defining integral (delta well)
+           fixed-panel quadrature of the defining integral (delta well)
 
 Every check but bethe, Stark shifts included, is a row of its model's
 table, whose two routes `_check` builds for `verify` and `stark_verify`
@@ -15,7 +15,10 @@ Bethe is the sum of two channel records from `bethe_components`, one
 per parity, each with its rational closed form as the analytic value,
 the residue as closed route and the quadrature as brute route.  One
 contour call gives both channels' residues, and one two-row
-integration both quadratures.
+integration both quadratures.  Every delta-well quadrature is the
+certified fixed-panel rule of `quadrature`: its error bound reads the
+integrand's rational shape, and so the poles +-q +- i that the residue
+route also uses, while its value reads only the integrand.
 The two routes share nothing past the matrix elements, which is the
 point: agreement is evidence the algebra and the numerics are each
 right, disagreement raises or flags instead of averaging away.
@@ -23,6 +26,7 @@ right, disagreement raises or flags instead of averaging away.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -83,8 +87,8 @@ class RuleVerification:
 
     `rule` is the name the report prints ("trk", "stark", "series.sum").
     `closed` comes through identities (cotangent chains or exact moments
-    and residues), `brute` from the truncated sum or adaptive quadrature
-    that `trace` records.  `model` is None for a bare lattice sum, which
+    and residues), `brute` from the truncated sum or quadrature that
+    `trace` records.  `model` is None for a bare lattice sum, which
     belongs to neither model.  `components` holds the (odd, even)
     channel records a bethe row sums; it is None for every other check,
     and no verdict reads it.
@@ -140,13 +144,26 @@ _BOX_CHECKS = {
     "stark": (5, lambda n: 2.0 * (8.0 * n / _PI**2) ** 2, -0.0),
 }
 # Delta-well rows: (c, p) of the closed route (c / pi) * half_line_moment(1, p),
-# and the quadrature integrand over k >= 0.
+# and the quadrature integrand over k >= 0, of the quadrature's shape (c / pi, 4 - p).
 _DELTA_CHECKS = {
     "closure": (16.0, 4, lambda k: delta.x_me_bound(k) ** 2),
     "trk": (8.0, 3, lambda k: delta.energy_gap(k) * delta.x_me_bound(k) ** 2),
     "monopole": (32.0, 4, lambda k: delta.energy_gap(k) * delta.x2_me_bound(k) ** 2),
     "stark": (32.0, 5, lambda k: delta.x_me_bound(k) ** 2 / delta.energy_gap(k)),
 }
+
+
+@functools.cache
+def _delta_quadratures() -> dict[str, QuadratureResult]:
+    """The quadrature of each delta row of _DELTA_CHECKS, from one
+    four-row integration per process: they have no input, and their
+    callers read `converged` at their own tol."""
+    checks = _DELTA_CHECKS.values()
+    rows = quadrature.integrate_semi_inf(
+        lambda k: [integrand(k) for _, _, integrand in checks],
+        [(c / _PI, 4 - p) for c, p, _ in checks],
+    )
+    return dict(zip(_DELTA_CHECKS, rows))
 
 
 def analytic_rhs(spec: SumRuleSpec, model: ModelKind) -> float:
@@ -191,14 +208,13 @@ def _bethe_residues(q: float):
     yield 4.0 * q**4 / _PI * even
 
 
-def _bethe_integrand(q: float):
-    """The (odd, even) rows of the Bethe channel integrands over k >= 0."""
-    def integrand(k):
-        gap = delta.energy_gap(k)
-        odd, even = delta.bethe_me(q, k)
-        return gap * odd * odd, gap * even * even
-
-    return integrand
+def _bethe_quadratures(q: float, tol: float):
+    """The (odd, even) Bethe channel quadratures at q, one integration
+    of the two rows of `delta.bethe_strengths`, in their shapes."""
+    q2 = q * q
+    shapes = ((8.0 / _PI * q2, 1), (8.0 / _PI * q2 * q2, 0))
+    return quadrature.integrate_semi_inf(
+        functools.partial(delta.bethe_strengths, q), shapes, q, tol)
 
 
 def bethe_components(
@@ -215,7 +231,7 @@ def bethe_components(
     """
     q = check_finite_positive(float(q), "q")
     check_finite_positive(tol, "tol")
-    quads = quadrature.integrate_semi_inf(_bethe_integrand(q), scale=max(1.0, q), tol=tol)
+    quads = _bethe_quadratures(q, tol)
     channels = []
     for parity, quad, res in zip((Parity.ODD, Parity.EVEN), quads, _bethe_residues(q)):
         dev = rel_err(res, quad.value)
@@ -262,8 +278,8 @@ def _check(
         factor = scale * prefactor(params["n"])
         closed, brute = offset + factor * closed, offset + factor * trace.value
     else:
-        c, p, integrand = _DELTA_CHECKS[rule]
-        trace = quadrature.integrate_semi_inf(integrand, tol=tol)
+        c, p, _ = _DELTA_CHECKS[rule]
+        trace = _delta_quadratures()[rule].at(tol)
         closed, brute = scale * (c / _PI) * half_line_moment(1, p), scale * trace.value
     return RuleVerification(rule, model, params, analytic, closed, brute, trace, tol)
 
@@ -289,7 +305,7 @@ def verify(
     trace = QuadratureResult(
         value=odd.brute + even.brute,
         est_error=odd.trace.est_error + even.trace.est_error,
-        evaluations=odd.trace.evaluations + even.trace.evaluations,
+        evaluations=odd.trace.evaluations,  # the channels share their nodes
         converged=odd.trace.converged and even.trace.converged,
     )
     return RuleVerification(

@@ -1,261 +1,170 @@
-"""Adaptive panel quadrature for continuum matrix-element integrals.
+"""Certified fixed-panel Gauss-Legendre quadrature for the delta well's
+rational integrands.
 
-Semi-infinite integrals are mapped through k = scale * tan(theta), which
-takes [0, inf) to [0, pi/2).  The transformed integrand is handled by an
-adaptive bisection loop: each panel is evaluated by a 7-point and a
-separate 15-point Gauss-Legendre rule (22 evaluations, no node shared),
-whose difference serves as the panel error estimate, and the worst panel
-is always split first.  Gauss nodes are interior, so the tan singularity
-at the endpoint is never evaluated.  Python overhead per integrand call,
-not the node count, sets the cost, so the initial panels share one call
-and so do the two halves of each bisection.
+Each row of a delta-well integral over k >= 0 has the shape (c, a) of
+c k^2 (k^2 + 1)^a / D(k)^2, D(k) = ((k + q)^2 + 1)((k - q)^2 + 1): the
+Bethe channels at their q, the parameter-free rows at q = 0.  The panels
+depend on q alone.  In the offset s = k - q they grow from the peak at
+s = 0, each of half-width hypot(s, 1)/BETA at its inner edge, out to
+k = 0 and to K = 2q + 4; [K, inf) is one more panel, through k = K/t.
+Each takes N Gauss-Legendre nodes, and the integrand is called once, on
+the nodes' offsets s, so a node near the peak keeps its relative
+accuracy at any q.
 
-Integrands must accept numpy arrays (all integrands in this package are
-plain ufunc expressions) and should decay at least as fast as 1/k^2.
-An integrand may also return m rows, an array of shape (m, N) for N
-nodes: each row is integrated by its own loop, with its own panels,
-totals and stopping test, and the loops run in lockstep, so that one
-integrand call over the nodes of every unconverged row serves one
-bisection of each.  Each row's result is bit for bit the one a call
-with that row alone would give.
+The error bound is a theorem.  On a panel of half-width h, for f
+analytic with |f| <= M inside the Bernstein ellipse E_rho, the error is
+at most h (64/15) M rho^(-2N) / (rho^2 - 1) (Trefethen, Approximation
+Theory and Approximation Practice, Thm 19.3).  A pole p lies on E_rho_p
+(the Joukowski map), and |z - p| >= h (rho_p - rho)(1 - 1/(rho rho_p))/2
+on E_rho for rho < rho_p, which bounds M; each panel keeps the least
+bound over a few rho, taken in log space.  est_error sums the panels'
+bounds and adds 8 eps sum |w f h| for rounding.  The bound reads the
+shape, and so the poles +-q +- i that the residue route also uses; the
+value reads only the integrand.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import (
-    DEFAULT_TOL,
-    REL_ERR_FLOOR,
-    DomainError,
-    InvalidSpecError,
-    check_finite_positive,
-)
+from .core import DEFAULT_TOL
 
-MAX_PANELS = 10_000
-_INITIAL_PANELS = 8
-_FAR_FIELD = 1e13  # |k| beyond which jacobian overflow is treated as zero tail
-_ROUNDOFF = 4.0 * float(np.finfo(float).eps)
-
-_GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
-_GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
-_NODES = np.concatenate((_GL7_NODES, _GL15_NODES))
+N = 20
+BETA = 2.0
+_X, _W = np.polynomial.legendre.leggauss(N)
+_T = 0.5 + 0.5 * _X  # the tail's nodes in t, and their weights times K
+_TAIL_W = 0.5 * _W / (_T * _T)
+# candidate rho per panel: rho_max ** power, rho_max the nearest pole's
+_POWERS = np.array([0.5, 0.7, 0.85, 0.95])
+_LOG_64_15 = math.log(64.0 / 15.0)
+_ROUNDOFF = 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value and accounting for one adaptive integration."""
+    """Value, certified error bound and node count of one integral."""
 
     value: float
     est_error: float
     evaluations: int
-    converged: bool
+    converged: bool = False
+
+    def at(self, tol: float) -> QuadratureResult:
+        """This result, converged when est_error <= tol * |value|."""
+        return QuadratureResult(self.value, self.est_error, self.evaluations,
+                                self.est_error <= tol * abs(self.value))
 
 
 class QuadratureRows(tuple):
-    """The per-row results of an m-row integrand, in row order, with
-    the accounting of the call as a whole."""
+    """The results of the rows of one integration, in row order; they
+    share its nodes, so `evaluations` counts each node once."""
 
     __slots__ = ()
-
-    @property
-    def evaluations(self) -> int:
-        return sum(row.evaluations for row in self)
-
-    @property
-    def converged(self) -> bool:
-        return all(row.converged for row in self)
+    evaluations = property(lambda self: self[0].evaluations)
+    converged = property(lambda self: all(row.converged for row in self))
 
 
-def _panel_nodes(lo: list[float], hi: list[float]) -> tuple[list[float], np.ndarray]:
-    """Half-widths of the panels [lo[i], hi[i]] and the nodes of all of
-    them, panel by panel."""
-    lo_, hi_ = np.array(lo), np.array(hi)
-    half = 0.5 * (hi_ - lo_)
-    mid = 0.5 * (hi_ + lo_)
-    return half.tolist(), (mid[:, None] + half[:, None] * _NODES).ravel()
+def _edges(length: float) -> list[float]:
+    """Panel edges from 0 out to `length`, growing as hypot(s, 1)/BETA."""
+    edges = [0.0]
+    while edges[-1] < length:
+        edges.append(edges[-1] + 2.0 * math.hypot(edges[-1], 1.0) / BETA)
+    edges[-1] = length
+    return edges
 
 
-def _initial_panels(lo: float, hi: float) -> tuple:
-    """(lower edges, upper edges, half-widths, nodes) of the initial panels."""
-    edges = np.linspace(lo, hi, _INITIAL_PANELS + 1).tolist()
-    return (edges[:-1], edges[1:], *_panel_nodes(edges[:-1], edges[1:]))
+def _bounds(mid, half, points, exps, log_c) -> np.ndarray:
+    """Each row's error bound, summed over the panels [mid - half,
+    mid + half].  On panel i, row r's integrand in the panel's variable z
+    is exp(log_c[r, i]) prod_j (z - points[i, j])^exps[r, i, j], and the
+    points of a negative exponent, the poles, lie off the panel."""
+    off = points - mid[:, None]  # (panel, point)
+    dist = np.abs(off)
+    # caps keep w^2 finite; shrinking w toward 0 only lowers rho_p
+    w = off * (1.0 / np.maximum(np.maximum(half[:, None], 1e-6 * dist), 1e-300))
+    root = np.sqrt(w * w - 1.0)
+    rho_p = np.maximum(np.abs(w + root), np.abs(w - root))
+    poles = (exps < 0).any(axis=(0, 1))
+    log_rho = np.log(rho_p[:, poles].min(axis=1))[:, None] * _POWERS  # (panel, candidate)
+    rho = np.exp(log_rho)
+    # E_rho lies within reach = h (rho + 1/rho)/2 of mid, so |z - p| is at
+    # most dist + reach at a zero p, and at a pole at least h delta (sharp
+    # near the panel) and dist - reach (sharp far from it)
+    h = half[:, None, None]
+    reach = h * (0.5 * (rho + 1.0 / rho))[:, None, :]
+    dist = dist[:, :, None]
+    rp, r = rho_p[:, :, None], rho[:, None, :]
+    gap = np.maximum(0.5 * h * (rp - r) * (1.0 - 1.0 / (r * rp)), dist - reach)
+    log_m = (log_c[:, :, None]
+             + np.einsum("rpj,pjc->rpc", np.maximum(exps, 0), np.log(dist + reach))
+             + np.einsum("rpj,pjc->rpc", np.minimum(exps, 0),
+                         np.log(np.where(poles[:, None], gap, 1.0))))
+    # log of h (64/15) rho^(-2N) / (rho^2 - 1), with rho^2 - 1 = rho (rho - 1/rho)
+    log_e = (np.log(half)[:, None] + _LOG_64_15 - (2 * N + 1) * log_rho
+             - np.log(rho - 1.0 / rho))
+    return np.exp(np.min(log_m + log_e, axis=2)).sum(axis=1)
 
 
-_HALF_LINE_PANELS = _initial_panels(0.0, 0.5 * math.pi)
-
-
-def _panel(h: float, y: np.ndarray) -> tuple[float, float]:
-    """(value, error) of a panel of half-width h from its 22 values.
-    One dot per rule: a batched product can round differently."""
-    low = h * float(_GL7_WEIGHTS.dot(y[:7]))
-    high = h * float(_GL15_WEIGHTS.dot(y[7:]))
-    return high, abs(high - low)
-
-
-class _Row:
-    """The panel heap and running totals of one row's adaptive loop."""
-
-    __slots__ = ("heap", "value", "est", "abs_acc", "panels")
-
-    def __init__(self) -> None:
-        self.heap: list[tuple[float, int, float, float, float, float]] = []
-        self.value = 0.0
-        self.est = 0.0
-        self.abs_acc = 0.0
-        self.panels = _INITIAL_PANELS
-
-    def target(self, tol: float, abs_tol: float) -> float:
-        return max(tol * max(abs(self.value), REL_ERR_FLOOR), abs_tol)
-
-
-def _checked(
-    ys: np.ndarray, shape: tuple, xs: np.ndarray, lo: list[float], hi: list[float],
-    check_finite: bool,
-) -> np.ndarray:
-    """Integrand values `ys` at the nodes `xs` of the panels [lo[i], hi[i]],
-    as an (m, panels, 22) array once their shape is checked against
-    `shape` + xs.shape, and their finiteness too if `check_finite`."""
-    if ys.shape != shape + xs.shape or len(shape) > 1 or 0 in shape:
-        raise InvalidSpecError("integrand must map an array to an array of the same shape")
-    if check_finite:
-        finite = np.isfinite(ys)
-        if not finite.all():
-            # panel of the first node at which any row is bad
-            i = int(np.argmin(finite.reshape(-1, xs.size).all(axis=0))) // _NODES.size
-            raise DomainError(f"integrand returned a non-finite value on [{lo[i]}, {hi[i]}]")
-    return ys.reshape(-1, len(lo), _NODES.size)
-
-
-def _adaptive(
-    g: Callable,
-    panels: tuple,
-    tol: float,
-    abs_tol: float,
-    max_panels: int,
-    check_finite: bool,
-) -> QuadratureResult | QuadratureRows:
-    """The adaptive loops of the rows of g, in lockstep, from the
-    initial `panels` of `_initial_panels`.  `check_finite` is False
-    when g rejects non-finite values itself."""
-    if tol <= 0 and abs_tol <= 0:
-        raise InvalidSpecError("need a positive tol or abs_tol")
-    lo, hi, half, xs = panels
-    ys = np.asarray(g(xs), dtype=float)
-    shape = ys.shape[:-1]  # () for a 1-D integrand, (m,) for m rows
-    ys = _checked(ys, shape, xs, lo, hi, check_finite)
-
-    rows = [_Row() for _ in ys]
-    order = itertools.count()  # heap tie-break: of equal errors, the first pushed
-    for row, values in zip(rows, ys):
-        for a, b, h, y in zip(lo, hi, half, values):
-            v, e = _panel(h, y)
-            row.value += v
-            row.est += e
-            row.abs_acc += abs(v)
-            heapq.heappush(row.heap, (-e, next(order), a, b, v, e))
-
-    def unfinished(i: int) -> bool:
-        row = rows[i]
-        return row.est > row.target(tol, abs_tol) and row.panels < max_panels
-
-    # each round splits the worst panel of every unfinished row, with
-    # one integrand call over the nodes of all the halves
-    active = [i for i in range(len(rows)) if unfinished(i)]
-    while active:
-        split = [heapq.heappop(rows[i].heap) for i in active]
-        lo, hi = [], []
-        for _, _, a, b, _, _ in split:
-            mid = 0.5 * (a + b)
-            lo += (a, mid)
-            hi += (mid, b)
-        half, xs = _panel_nodes(lo, hi)
-        ys = _checked(np.asarray(g(xs), dtype=float), shape, xs, lo, hi, check_finite)
-        for j, (i, (_, _, a, b, v, e)) in enumerate(zip(active, split)):
-            row, mid = rows[i], lo[2 * j + 1]
-            vl, el = _panel(half[2 * j], ys[i, 2 * j])
-            vr, er = _panel(half[2 * j + 1], ys[i, 2 * j + 1])
-            row.value += vl + vr - v
-            row.est += el + er - e
-            row.abs_acc += abs(vl) + abs(vr) - abs(v)
-            heapq.heappush(row.heap, (-el, next(order), a, mid, vl, el))
-            heapq.heappush(row.heap, (-er, next(order), mid, b, vr, er))
-            row.panels += 1
-        active = [i for i in active if unfinished(i)]
-
-    results = []
-    for row in rows:
-        # roundoff floor: summing len(heap) panel values cannot beat this
-        est = max(row.est, _ROUNDOFF * row.abs_acc)
-        results.append(QuadratureResult(
-            value=row.value,
-            est_error=est,
-            # the initial panels, then two halves per bisection
-            evaluations=_NODES.size * (2 * row.panels - _INITIAL_PANELS),
-            converged=est <= row.target(tol, abs_tol),
-        ))
-    return QuadratureRows(results) if shape else results[0]
-
-
-def integrate_interval(
-    g: Callable,
-    lo: float,
-    hi: float,
-    tol: float = DEFAULT_TOL,
-    abs_tol: float = 0.0,
-    max_panels: int = MAX_PANELS,
-) -> QuadratureResult | QuadratureRows:
-    """Adaptive integral of a vectorized integrand over [lo, hi].
-
-    Converges when the summed panel error estimate drops below
-    max(tol * |value|, abs_tol); otherwise returns converged=False after
-    max_panels panels.  abs_tol = 0 demands pure relative convergence,
-    which cannot be met for integrals that are exactly zero; pass a
-    small abs_tol for parity-cancellation checks.  An integrand of m
-    rows gets the m results, each row held to these targets alone.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise InvalidSpecError(f"bad interval [{lo}, {hi}]")
-    return _adaptive(g, _initial_panels(lo, hi), tol, abs_tol, max_panels, True)
-
-
-def _tan_wrapped(f: Callable, scale: float) -> Callable:
-    def g(theta: np.ndarray) -> np.ndarray:
-        c = np.cos(theta)
-        k = scale * np.tan(theta)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            y = np.asarray(f(k), dtype=float) * (scale / (c * c))
-        finite = np.isfinite(y)
-        if not finite.all():
-            # jacobian overflow deep in the tail is a true zero for any
-            # integrand decaying at least as fast as 1/k^2
-            bad = ~finite
-            far = np.abs(k) >= _FAR_FIELD
-            y = np.where(bad & far, 0.0, y)
-            if (bad & ~far).any():
-                raise DomainError("integrand returned a non-finite value at finite k")
-        return y
-
-    return g
+def _factors(q: float, shapes: Sequence[tuple[float, int]]) -> tuple:
+    """(points, exps, log_c) of the rows of `shapes` at q: on the panels
+    in s (kind 0) and on the tail in t, k = K/t (kind 1), row r's
+    integrand is exp(log_c[r, kind]) prod_j (z - points[kind, j])^exps[r, kind, j]
+    in the panel's variable z."""
+    big_k = 2.0 * q + 4.0
+    p = np.array([q + 1j, q - 1j, -q + 1j, -q - 1j])
+    # in s: k^2 at s = -q, k^2 + 1 at -q +- i, D at +-i and -2q +- i; in t:
+    # c K^3 t^(4 - 2a) (t^2 + K^2)^a / ((q^2 + 1)^4 prod_p (t - K/p)^2)
+    points = np.array([np.concatenate(([-q, -q + 1j, -q - 1j], p - q)),
+                       np.concatenate(([0.0, 1j * big_k, -1j * big_k], big_k / p))])
+    a = np.array([float(shape[1]) for shape in shapes])
+    exps = np.empty((len(shapes), 2, 7))
+    exps[:, :, 1:3] = a[:, None, None]
+    exps[:, :, 3:] = -2.0
+    exps[:, 0, 0] = 2.0
+    exps[:, 1, 0] = 4.0 - 2.0 * a
+    log_c = np.array([math.log(c) if c > 0.0 else -math.inf for c, _ in shapes])
+    tail = 3.0 * math.log(big_k) - 8.0 * math.log(math.hypot(q, 1.0))
+    return points, exps, log_c[:, None] + np.array([0.0, tail])
 
 
 def integrate_semi_inf(
     f: Callable,
-    scale: float = 1.0,
+    shapes: Sequence[tuple[float, int]],
+    q: float = 0.0,
     tol: float = DEFAULT_TOL,
-) -> QuadratureResult | QuadratureRows:
-    """Integral of f over [0, inf) via the k = scale * tan(theta) map;
-    for an f of m rows, the m integrals, from one call of f per round.
-
-    `scale` sets where the substitution concentrates nodes (half the
-    nodes land below k = scale); any positive value converges, a value
-    near the natural width of f converges fastest.
+) -> QuadratureRows:
+    """The integral over k in [0, inf) of each row of f, row r of the
+    shape shapes[r] = (c, a) at q >= 0.  f maps the nodes' offsets
+    s = k - q, a numpy array, to an array of shape (len(shapes), len(s));
+    a non-finite value leaves its row non-finite and unconverged.  A row
+    has converged when est_error <= tol |value|; nothing else reads tol.
     """
-    check_finite_positive(scale, "scale")
-    return _adaptive(_tan_wrapped(f, scale), _HALF_LINE_PANELS, tol, 0.0, MAX_PANELS, False)
+    edges = np.array([-e for e in _edges(q)[:0:-1]] + _edges(q + 4.0))  # to K = 2q + 4
+    mid = 0.5 * edges[1:] + 0.5 * edges[:-1]
+    half = 0.5 * edges[1:] - 0.5 * edges[:-1]
+    keep = half > 0.0  # a q below twice the smallest float leaves a 0-width panel
+    mid, half = mid[keep], half[keep]
+    # far past the q range the nodes, values and bounds overflow; they
+    # are reported as inf or NaN, and the row as unconverged
+    with np.errstate(all="ignore"):
+        big_k = 2.0 * q + 4.0
+        s = np.concatenate(((mid[:, None] + half[:, None] * _X).ravel(), big_k / _T - q))
+        weights = np.concatenate(((half[:, None] * _W).ravel(), big_k * _TAIL_W))
+        values = np.asarray(f(s), dtype=float).reshape(len(shapes), s.size)
+
+        points, exps, log_c = _factors(q, shapes)
+        kind = np.arange(len(mid) + 1) // len(mid)  # 0 on the panels, then 1 on the tail
+        tail = np.array([0.5])
+        bounds = _bounds(np.concatenate((mid, tail)), np.concatenate((half, tail)),
+                         points[kind], exps[:, kind], log_c[:, kind])
+        # one dot per row: a batched product can round differently
+        return QuadratureRows(
+            QuadratureResult(float(row.dot(weights)),
+                             float(bound + _ROUNDOFF * np.abs(row).dot(weights)),
+                             s.size).at(tol)
+            for row, bound in zip(values, bounds)
+        )

@@ -84,7 +84,7 @@ CASES: list[tuple[str, dict[str, str]]] = [
     for command in _README + _BETHE + _STARK + _TOLS + _RARE
     for fmt in FORMATS
 ] + [
-    # the Bethe quadrature runs to its panel cap here: one format is enough
+    # a Bethe q far above the bench range: one format is enough
     ("verify --model delta --q 1e10 --format json", {}),
 ] + [
     (f"{command} --format {fmt}", {KMAX_ENV_VAR: "1"})

@@ -128,20 +128,24 @@ def test_parity_selection_by_quadrature():
 
 
 def test_bethe_me_frozen_values():
-    # D = ((k+q)^2+1)((k-q)^2+1) is 5 * 1 at k = q = 1
-    odd, even = delta.bethe_me(1.0, 1.0)
-    assert odd == pytest.approx((4.0 / 5.0) / math.sqrt(PI), rel=1e-15, abs=0)
-    assert even == pytest.approx(math.sqrt(4.0 / (2.0 * PI)) * (-2.0 / 5.0), rel=1e-15, abs=0)
+    # D = ((k+q)^2+1)((k-q)^2+1) is 5 * 1 at k = q = 1 (s = 0), and the gap is 1
+    odd, even = delta.bethe_strengths(1.0, 0.0)
+    assert odd == pytest.approx(16.0 / (25.0 * PI), rel=1e-15, abs=0)
+    assert even == pytest.approx(8.0 / (25.0 * PI), rel=1e-15, abs=0)
 
 
 def test_bethe_me_vs_quadrature():
-    """The stored odd element is the sin(qx) overlap (an i is dropped as
-    a phase), the even one the cos(qx) overlap."""
+    """Each Bethe channel is the gap times the square of a matrix
+    element, the odd one the sin(qx) overlap (an i is dropped as a
+    phase), the even one the cos(qx) overlap."""
     for q in Q_GRID:
         for k in (0.5, 1.0, 2.0):
-            odd, even = delta.bethe_me(q, k)
-            assert odd == pytest.approx(overlap(k, Parity.ODD, lambda x: np.sin(q * x)), abs=1e-10)
-            assert even == pytest.approx(overlap(k, Parity.EVEN, lambda x: np.cos(q * x)), abs=1e-10)
+            odd, even = delta.bethe_strengths(q, k - q)
+            gap = delta.energy_gap(k)
+            sin_me = overlap(k, Parity.ODD, lambda x: np.sin(q * x))
+            cos_me = overlap(k, Parity.EVEN, lambda x: np.cos(q * x))
+            assert odd == pytest.approx(gap * sin_me**2, abs=1e-10)
+            assert even == pytest.approx(gap * cos_me**2, abs=1e-10)
 
 
 def test_stark_shift():

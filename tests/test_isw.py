@@ -10,9 +10,7 @@ from hypothesis import strategies as st
 
 from sumrules import engine, isw
 from sumrules.core import DomainError, InvalidSpecError, ModelKind
-from sumrules.quadrature import integrate_interval
-
-from oracles import isw_psi
+from oracles import integrate_interval, isw_psi
 
 PI = math.pi
 

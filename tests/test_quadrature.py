@@ -1,21 +1,21 @@
-"""Adaptive quadrature against integrals with known values."""
+"""Quadrature against integrals with known values: the package's
+certified fixed-panel rule, and the tests' adaptive oracle."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sumrules import engine, quadrature
 from sumrules.core import DomainError, InvalidSpecError
-from sumrules.quadrature import (
-    QuadratureResult,
-    QuadratureRows,
-    integrate_interval,
-    integrate_semi_inf,
-)
+from sumrules.engine import half_line_moment
+from sumrules.quadrature import QuadratureResult, QuadratureRows, integrate_semi_inf
 
-from oracles import integrate_real_line
+from oracles import AdaptiveRows, integrate_half_line, integrate_interval, integrate_real_line
 
 
 def test_finite_interval_polynomial():
@@ -30,19 +30,19 @@ def test_finite_interval_oscillatory():
 
 
 def test_semi_inf_lorentzian():
-    r = integrate_semi_inf(lambda k: 1.0 / (1.0 + k * k), tol=1e-12)
+    r = integrate_half_line(lambda k: 1.0 / (1.0 + k * k), tol=1e-12)
     assert r.converged
     assert r.value == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 def test_semi_inf_gaussian():
-    r = integrate_semi_inf(lambda k: np.exp(-k * k), tol=1e-12)
+    r = integrate_half_line(lambda k: np.exp(-k * k), tol=1e-12)
     assert r.value == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-12, abs=0)
 
 
 def test_semi_inf_slow_tail():
     # 1/(1+k)^2 integrates to 1, the slowest decay the map must handle
-    r = integrate_semi_inf(lambda k: (1.0 + k) ** -2, tol=1e-11)
+    r = integrate_half_line(lambda k: (1.0 + k) ** -2, tol=1e-11)
     assert r.value == pytest.approx(1.0, rel=1e-11)
 
 
@@ -62,14 +62,14 @@ def test_real_line_even_rational():
 def test_scale_invariance(scale):
     """Any positive scale converges to the same value; only the node
     placement changes."""
-    r = integrate_semi_inf(lambda k: 1.0 / (1.0 + k * k), scale=scale, tol=1e-11)
+    r = integrate_half_line(lambda k: 1.0 / (1.0 + k * k), scale=scale, tol=1e-11)
     assert r.value == pytest.approx(math.pi / 2, rel=1e-10)
 
 
 @pytest.mark.parametrize("width", [0.1, 1.0, 10.0])
 def test_est_error_is_conservative(width):
     exact = math.pi / (2.0 * width)
-    r = integrate_semi_inf(
+    r = integrate_half_line(
         lambda k: 1.0 / (width * width + k * k), scale=width, tol=1e-10
     )
     assert abs(r.value - exact) <= max(r.est_error, 1e-14 * exact)
@@ -116,7 +116,7 @@ def test_nan_in_right_half_of_bisected_panel_names_that_half():
 
 def test_nan_at_finite_k_rejected_on_half_line():
     with pytest.raises(DomainError):
-        integrate_semi_inf(lambda k: np.where(k < 5.0, np.nan, 0.0))
+        integrate_half_line(lambda k: np.where(k < 5.0, np.nan, 0.0))
 
 
 def test_bad_interval_rejected():
@@ -130,7 +130,7 @@ def test_bad_interval_rejected():
 
 def test_bad_scale_rejected():
     with pytest.raises(InvalidSpecError):
-        integrate_semi_inf(lambda k: k, scale=0.0)
+        integrate_half_line(lambda k: k, scale=0.0)
     with pytest.raises(InvalidSpecError):
         integrate_real_line(lambda k: k, scale=-1.0)
 
@@ -144,9 +144,9 @@ HALF_LINE_ROWS = (
 
 
 def test_rows_equal_their_one_row_calls():
-    rows = integrate_semi_inf(lambda k: [f(k) for f in HALF_LINE_ROWS], tol=1e-12)
-    alone = [integrate_semi_inf(f, tol=1e-12) for f in HALF_LINE_ROWS]
-    assert isinstance(rows, QuadratureRows)
+    rows = integrate_half_line(lambda k: [f(k) for f in HALF_LINE_ROWS], tol=1e-12)
+    alone = [integrate_half_line(f, tol=1e-12) for f in HALF_LINE_ROWS]
+    assert isinstance(rows, AdaptiveRows)
     assert list(rows) == alone
     assert len({r.evaluations for r in alone}) == 3  # three stopping rounds
     assert rows.evaluations == sum(r.evaluations for r in alone)
@@ -172,8 +172,8 @@ def test_rows_converged_only_when_every_row_is():
 
 
 def test_one_row_of_one_is_a_sequence():
-    rows = integrate_semi_inf(lambda k: np.exp(-k * k)[None, :], tol=1e-12)
-    assert list(rows) == [integrate_semi_inf(lambda k: np.exp(-k * k), tol=1e-12)]
+    rows = integrate_half_line(lambda k: np.exp(-k * k)[None, :], tol=1e-12)
+    assert list(rows) == [integrate_half_line(lambda k: np.exp(-k * k), tol=1e-12)]
 
 
 @pytest.mark.parametrize("bad_row", range(3))
@@ -184,7 +184,7 @@ def test_non_finite_value_in_any_row_rejected(bad_row):
         return out
 
     with pytest.raises(DomainError, match="at finite k"):
-        integrate_semi_inf(f, tol=1e-12)
+        integrate_half_line(f, tol=1e-12)
     with pytest.raises(DomainError, match=r"on \[0\.0, 0\.125\]"):
         integrate_interval(f, 0.0, 1.0, tol=1e-12)
 
@@ -216,3 +216,112 @@ def test_row_count_must_not_change_between_calls():
 def test_result_is_plain_record():
     r = QuadratureResult(1.0, 0.0, 22, True)
     assert (r.value, r.est_error, r.evaluations, r.converged) == (1.0, 0.0, 22, True)
+
+
+# The package's certified rule.  Each row of an integral has the shape
+# c k^2 (k^2 + 1)^a / D(k)^2, D(k) = ((k + q)^2 + 1)((k - q)^2 + 1).
+
+
+def _shape(q, a):
+    """k^2 (k^2 + 1)^a / D(k)^2 at complex k, as a function of s = k - q."""
+    def f(s):
+        k = q + s
+        return k * k * (k * k + 1.0) ** a / (((k + q) ** 2 + 1.0) * ((k - q) ** 2 + 1.0)) ** 2
+
+    return f
+
+
+@pytest.mark.parametrize("q", [0.0, 0.3, 7.0, 1e4])
+@pytest.mark.parametrize("a", [-1, 0, 1])
+def test_factored_shapes_match_the_integrands(q, a):
+    """The bound's zeros, poles and constant, on the panels in s and on
+    the tail in t (k = K/t, times dk/dt = -K/t^2 in magnitude), give the
+    integrand itself at complex points."""
+    points, exps, log_c = quadrature._factors(q, [(2.5, a)])
+    big_k = 2.0 * q + 4.0
+    f = _shape(q, a)
+    for z in (0.3 + 0.2j, -1.7 + 0.4j, 2.0 - 3.0j):
+        for kind, want in ((0, 2.5 * f(z)), (1, 2.5 * f(big_k / z - q) * big_k / z**2)):
+            got = np.exp(log_c[0, kind]) * np.prod((z - points[kind]) ** exps[0, kind])
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("x0, y0", [(0.0, 0.2), (0.0, 0.4), (0.0, 0.6), (0.9, 0.3)])
+def test_panel_bound_holds_where_the_rule_misses(x0, y0):
+    """On one panel, [-1, 1], 20-point Gauss-Legendre misses
+    1/((x - x0)^2 + y0^2) by a visible amount near its poles x0 +- i y0;
+    the theorem's bound covers the miss, within a factor that stays
+    near 1e4 at these rho (1.2 to 1.8)."""
+    exact = (math.atan((1.0 - x0) / y0) + math.atan((1.0 + x0) / y0)) / y0
+    x, w = np.polynomial.legendre.leggauss(quadrature.N)
+    miss = abs(float(w.dot(1.0 / ((x - x0) ** 2 + y0 ** 2))) - exact)
+    bound = quadrature._bounds(
+        np.array([0.0]), np.array([1.0]), np.array([[x0 + 1j * y0, x0 - 1j * y0]]),
+        np.array([[[-1.0, -1.0]]]), np.array([[0.0]]))[0]
+    assert miss > 1e-12 * exact
+    assert miss <= bound <= 1e5 * miss
+
+
+@pytest.mark.parametrize("p", [3, 4, 5])
+def test_parameter_free_shapes_within_their_bound(p):
+    r, = integrate_semi_inf(lambda k: [k * k / (1.0 + k * k) ** p], [(1.0, 4 - p)])
+    exact = half_line_moment(1, p)
+    assert abs(r.value - exact) <= r.est_error + 2 * math.ulp(exact)
+    assert r.est_error <= 4e-15 * exact
+    assert r.evaluations == 80 and r.converged
+
+
+def test_rows_share_nodes_and_equal_their_one_row_calls():
+    q = 42.04238735157813
+    both = engine._bethe_quadratures(q, 1e-9)
+    q2 = q * q  # the engine's products, so that the bounds match bit for bit
+    shapes = ((8.0 / math.pi * q2, 1), (8.0 / math.pi * q2 * q2, 0))
+    kernel = engine.delta.bethe_strengths
+    alone = [integrate_semi_inf(lambda s, i=i: [kernel(q, s)[i]], [shapes[i]], q, 1e-9)[0]
+             for i in range(2)]
+    assert isinstance(both, QuadratureRows)
+    assert list(both) == alone
+    assert both.evaluations == both[0].evaluations == both[1].evaluations == 300
+
+
+def test_node_counts_are_fixed_by_q():
+    counts = [engine._bethe_quadratures(q, 1e-9).evaluations
+              for q in (1e-4, 1.0, 100.0, 1e4, 1e10)]
+    assert counts == [100, 100, 340, 580, 1380]
+
+
+def test_value_does_not_read_tol():
+    rows = [engine._bethe_quadratures(19.881398211747452, tol) for tol in (1e-2, 1e-9, 1e-17)]
+    assert [(r.value, r.est_error) for r in rows[0]] == [(r.value, r.est_error) for r in rows[2]]
+    assert [r.converged for r in rows] == [True, True, False]
+    for row in rows[1]:
+        assert row.converged == (row.est_error <= 1e-9 * abs(row.value))
+
+
+def test_non_finite_value_leaves_the_row_unconverged():
+    def f(s):
+        return [np.where(s > 2.0, np.nan, 1.0 / (1.0 + s * s) ** 2), 1.0 / (1.0 + s * s) ** 2]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bad, good = integrate_semi_inf(f, [(1.0, -2), (1.0, -2)])
+    assert math.isnan(bad.value) and not bad.converged
+    assert good.converged
+
+
+@pytest.mark.parametrize("q", [5e-324, 1e-310, 1e-300, 1e-100, 1e49, 1e50, 1e77, 1e154,
+                               1e300, 1.7976931348623157e308])
+def test_no_warning_at_any_q(q):
+    """Tiny q gives exact zeros; past the q range the rows come back
+    non-finite and unconverged, and no RuntimeWarning escapes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = engine._bethe_quadratures(q, 1e-9)
+    for row in rows:
+        assert math.isnan(row.value) or row.est_error <= 4e-15 * row.value
+        assert row.converged == math.isfinite(row.value)
+    exact = Fraction(q) ** 2 / 2
+    if q < 1e-200:
+        assert [row.value for row in rows] == [0.0, 0.0]
+    elif q <= 1e49:
+        assert abs(Fraction(rows[0].value + rows[1].value) - exact) <= 4e-15 * exact
