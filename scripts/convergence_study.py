@@ -48,14 +48,14 @@ def run(args: argparse.Namespace) -> int:
                 trace = series.brute_sum(tol=EXHAUSTIVE_TOL, max_terms=cap,
                                          **brute_args)
                 err = abs(trace.value - closed)
-                ok = err <= trace.tail_estimate
+                ok = err <= trace.bound
                 violations += 0 if ok else 1
                 rows.append({
                     "rule": rule, "n": n, "max_terms": cap,
                     "value": format(trace.value, ".17g"),
                     "closed": format(closed, ".17g"),
                     "abs_err": format(err, ".3e"),
-                    "tail_estimate": format(trace.tail_estimate, ".3e"),
+                    "tail_estimate": format(trace.bound, ".3e"),
                     "within_tail": str(ok).lower(),
                 })
     handle = open(args.out, "w", newline="") if args.out else sys.stdout

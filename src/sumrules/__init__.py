@@ -16,7 +16,7 @@ from .core import (
     ModelKind,
     PoleError,
     SumRuleError,
-    TruncationTrace,
+    Trace,
 )
 from .engine import (
     RuleVerification,
@@ -26,7 +26,6 @@ from .engine import (
     stark_verify,
     verify,
 )
-from .quadrature import QuadratureResult
 from .series import Parity
 
 __version__ = "0.1.0"
@@ -39,11 +38,10 @@ __all__ = [
     "ModelKind",
     "Parity",
     "PoleError",
-    "QuadratureResult",
     "RuleVerification",
     "SumRuleError",
     "SumRuleSpec",
-    "TruncationTrace",
+    "Trace",
     "analytic_rhs",
     "bethe_components",
     "stark_verify",

@@ -35,7 +35,6 @@ from .core import (
     SumRuleError,
 )
 from .engine import RuleVerification, SumRuleSpec
-from .quadrature import QuadratureResult
 from .series import Parity
 
 
@@ -173,16 +172,11 @@ def _to_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _trace_dict(trace) -> dict:
-    if isinstance(trace, QuadratureResult):
-        return {"evaluations": trace.evaluations, "est_error": trace.est_error,
-                "converged": trace.converged}
-    return {"terms_used": trace.terms_used, "tail_estimate": trace.tail_estimate,
-            "converged": trace.converged}
-
-
 def _row(check: RuleVerification) -> dict:
-    model = check.model
+    model, trace = check.model, check.trace
+    # a delta-well trace counts quadrature nodes, any other lattice terms
+    names = ("evaluations", "est_error") if model is ModelKind.DELTA else (
+        "terms_used", "tail_estimate")
     return {
         "rule": check.rule,
         "model": None if model is None else model.value,
@@ -193,7 +187,7 @@ def _row(check: RuleVerification) -> dict:
         "rel_err_closed": check.rel_err_closed,
         "rel_err_brute": check.rel_err_brute,
         "passed": check.passed,
-        "trace": _trace_dict(check.trace),
+        "trace": dict(zip(names, (trace.terms_used, trace.bound)), converged=trace.converged),
     }
 
 
@@ -257,7 +251,7 @@ def _run_series(args: argparse.Namespace) -> tuple[list[dict], list]:
         checks.append(("series.sum", {"p": args.p, "z": args.z, "parity": parity.value},
                        closed, closed, trace))
     return [_row(RuleVerification(rule, None, params, analytic, closed, trace.value,
-                                  trace, args.tol))
+                                  trace.bound, trace, args.tol))
             for rule, params, analytic, closed, trace in checks], []
 
 
@@ -278,7 +272,7 @@ def _run_sweep(args: argparse.Namespace) -> tuple[list[dict], list]:
             "trace": {
                 "value": trace.value,
                 "terms_used": trace.terms_used,
-                "tail_estimate": trace.tail_estimate,
+                "tail_estimate": trace.bound,
                 "converged": trace.converged,
                 "checkpoints": [
                     {"terms": t, "partial_sum": s}

@@ -1,10 +1,11 @@
-"""Shared error types, input checks and the brute-force truncation record.
+"""Shared error types, input checks and the brute route's trace record.
 
 Everything numerical in this package runs in reduced units (hbar = m = 1,
 and well width a = 1 for the box model or kappa0 = 1 for the delta model).
 This module holds what every other module shares: the error hierarchy,
-the checks on state indices and on positive scalars, the brute-force
-truncation record and the relative-error rule every check is judged by.
+the checks on state indices and on positive scalars, the brute routes'
+trace record and convergence rule, and the relative-error rule every
+check is judged by.
 """
 
 from __future__ import annotations
@@ -81,34 +82,39 @@ class ModelKind(Enum):
 
 
 @dataclass(frozen=True)
-class TruncationTrace:
-    """Record of one brute-force partial summation.
+class Trace:
+    """Record of one brute route: a lattice sum or a quadrature.
 
-    `value` is the returned estimate: the raw partial sum plus an
-    integral tail correction.  `partial_sums` holds raw partial sums at
-    geometrically spaced checkpoints (always ending with the final one),
-    and `checkpoint_terms` the number of terms summed at each of them.
-    `tail_estimate` bounds the residual error left after the correction,
-    so `converged` means it fell within the requested tolerance of
-    |value|.
+    `value` is the route's estimate and `bound` a bound on its error, in
+    the raw sum's or integral's units.  `terms_used` counts the terms of
+    the weighted sum that gave `value`: lattice terms, a mirror pair
+    counting as two, or quadrature nodes.  `converged` is the verdict of
+    `converged` below at the caller's tol.  A lattice sum also keeps its
+    raw partial sums at geometrically spaced checkpoints, ending with the
+    final one, and the terms summed at each; a quadrature keeps none.
     """
 
     value: float
-    partial_sums: tuple[float, ...]
-    checkpoint_terms: tuple[int, ...]
+    bound: float
     terms_used: int
-    tail_estimate: float
     converged: bool
+    partial_sums: tuple[float, ...] = ()
+    checkpoint_terms: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.partial_sums:
-            raise InvalidSpecError("partial_sums must be nonempty")
         if len(self.checkpoint_terms) != len(self.partial_sums):
             raise InvalidSpecError("checkpoint_terms must match partial_sums")
         if self.terms_used < 0:
             raise InvalidSpecError("terms_used must be nonnegative")
-        if self.tail_estimate < 0:
-            raise InvalidSpecError("tail_estimate must be nonnegative")
+        if self.bound < 0:
+            raise InvalidSpecError("bound must be nonnegative")
+
+
+def converged(value: float, bound: float, tol: float) -> bool:
+    """The one convergence rule of every brute route: `bound` is within
+    tol of |value|, floored at REL_ERR_FLOOR.  An infinite bound, that of
+    a sum cut short by its term cap, never converges."""
+    return bound < math.inf and bound <= tol * max(abs(value), REL_ERR_FLOOR)
 
 
 def rel_err(analytic: float, value: float) -> float:

@@ -27,10 +27,6 @@ _PI = math.pi
 _EIGHT_OVER_PI = 8.0 / _PI
 
 
-def bound_energy() -> float:
-    return -0.5
-
-
 def energy_gap(k):
     """E_k - E_0 = (k^2 + 1)/2 at k > 0, the weight in every
     energy-weighted rule."""

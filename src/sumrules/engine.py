@@ -37,12 +37,12 @@ from .core import (
     InconsistencyError,
     InvalidSpecError,
     ModelKind,
-    TruncationTrace,
+    Trace,
     check_finite_positive,
     check_state_index,
+    converged,
     rel_err,
 )
-from .quadrature import QuadratureResult
 from .series import Parity
 
 _PI = math.pi
@@ -83,12 +83,16 @@ class SumRuleSpec:
 @dataclass(frozen=True)
 class RuleVerification:
     """One check of a rule, Stark shift or lattice sum: the analytic
-    target, the value along each route, and the brute route's trace.
+    target, the value along each route, and the brute route's error
+    bound and trace.
 
     `rule` is the name the report prints ("trk", "stark", "series.sum").
     `closed` comes through identities (cotangent chains or exact moments
     and residues), `brute` from the truncated sum or quadrature that
-    `trace` records.  `model` is None for a bare lattice sum, which
+    `trace` records.  `bound` is the trace's bound in the check's own
+    units: times |factor| or |scale| on a table row (`_check`), the sum
+    of the channels' on a bethe row, and as is on a Bethe channel or a
+    bare lattice sum.  `model` is None for a bare lattice sum, which
     belongs to neither model.  `components` holds the (odd, even)
     channel records a bethe row sums; it is None for every other check,
     and no verdict reads it.
@@ -102,7 +106,8 @@ class RuleVerification:
     analytic: float
     closed: float
     brute: float
-    trace: TruncationTrace | QuadratureResult
+    bound: float
+    trace: Trace
     tol: float
     components: tuple[RuleVerification, RuleVerification] | None = None
 
@@ -154,10 +159,10 @@ _DELTA_CHECKS = {
 
 
 @functools.cache
-def _delta_quadratures() -> dict[str, QuadratureResult]:
+def _delta_quadratures() -> dict[str, Trace]:
     """The quadrature of each delta row of _DELTA_CHECKS, from one
     four-row integration per process: they have no input, and their
-    callers read `converged` at their own tol."""
+    callers decide `converged` at their own tol."""
     checks = _DELTA_CHECKS.values()
     rows = quadrature.integrate_semi_inf(
         lambda k: [integrand(k) for _, _, integrand in checks],
@@ -242,7 +247,7 @@ def bethe_components(
             )
         channels.append(RuleVerification(
             f"bethe.{parity.value}", ModelKind.DELTA, {"q": q},
-            bethe_component_closed(parity, q), res, quad.value, quad, tol,
+            bethe_component_closed(parity, q), res, quad.value, quad.bound, quad, tol,
         ))
     return tuple(channels)
 
@@ -277,11 +282,15 @@ def _check(
         trace = series.brute_sum(**brute_args, tol=tol, max_terms=max_terms)
         factor = scale * prefactor(params["n"])
         closed, brute = offset + factor * closed, offset + factor * trace.value
+        bound = abs(factor) * trace.bound
     else:
         c, p, _ = _DELTA_CHECKS[rule]
-        trace = _delta_quadratures()[rule].at(tol)
+        quad = _delta_quadratures()[rule]
+        trace = Trace(quad.value, quad.bound, quad.terms_used,
+                      converged(quad.value, quad.bound, tol))
         closed, brute = scale * (c / _PI) * half_line_moment(1, p), scale * trace.value
-    return RuleVerification(rule, model, params, analytic, closed, brute, trace, tol)
+        bound = abs(scale) * trace.bound
+    return RuleVerification(rule, model, params, analytic, closed, brute, bound, trace, tol)
 
 
 def verify(
@@ -302,15 +311,13 @@ def verify(
         params = {"n": spec.n} if model is ModelKind.ISW else {}
         return _check(spec.rule, model, params, analytic, 1.0, tol, max_terms)
     odd, even = bethe_components(spec.q, tol=tol)
-    trace = QuadratureResult(
-        value=odd.brute + even.brute,
-        est_error=odd.trace.est_error + even.trace.est_error,
-        evaluations=odd.trace.evaluations,  # the channels share their nodes
-        converged=odd.trace.converged and even.trace.converged,
-    )
+    bound = odd.bound + even.bound
+    # the channels share their nodes
+    trace = Trace(odd.brute + even.brute, bound, odd.trace.terms_used,
+                  odd.trace.converged and even.trace.converged)
     return RuleVerification(
         spec.rule, model, {"q": spec.q}, analytic,
-        odd.closed + even.closed, trace.value, trace, tol, (odd, even),
+        odd.closed + even.closed, trace.value, bound, trace, tol, (odd, even),
     )
 
 

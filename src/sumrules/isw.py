@@ -21,12 +21,6 @@ from .core import check_state_index
 _PI = math.pi
 
 
-def energy(n: int) -> float:
-    """Reduced eigenvalue (n pi)^2 / 2."""
-    n = check_state_index(n)
-    return 0.5 * (n * _PI) ** 2
-
-
 def x_me(n: int, k: int) -> float:
     """<n|x|k>: 1/2 on the diagonal, zero unless n + k is odd."""
     n, k = check_state_index(n), check_state_index(k, "k")

@@ -17,21 +17,20 @@ at most h (64/15) M rho^(-2N) / (rho^2 - 1) (Trefethen, Approximation
 Theory and Approximation Practice, Thm 19.3).  A pole p lies on E_rho_p
 (the Joukowski map), and |z - p| >= h (rho_p - rho)(1 - 1/(rho rho_p))/2
 on E_rho for rho < rho_p, which bounds M; each panel keeps the least
-bound over a few rho, taken in log space.  est_error sums the panels'
-bounds and adds 8 eps sum |w f h| for rounding.  The bound reads the
-shape, and so the poles +-q +- i that the residue route also uses; the
-value reads only the integrand.
+bound over a few rho, taken in log space.  A row's bound sums the
+panels' bounds and adds 8 eps sum |w f h| for rounding.  The bound reads
+the shape, and so the poles +-q +- i that the residue route also uses;
+the value reads only the integrand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_TOL
+from .core import DEFAULT_TOL, Trace, converged
 
 N = 20
 BETA = 2.0
@@ -44,27 +43,12 @@ _LOG_64_15 = math.log(64.0 / 15.0)
 _ROUNDOFF = 8.0 * float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    """Value, certified error bound and node count of one integral."""
-
-    value: float
-    est_error: float
-    evaluations: int
-    converged: bool = False
-
-    def at(self, tol: float) -> QuadratureResult:
-        """This result, converged when est_error <= tol * |value|."""
-        return QuadratureResult(self.value, self.est_error, self.evaluations,
-                                self.est_error <= tol * abs(self.value))
-
-
 class QuadratureRows(tuple):
-    """The results of the rows of one integration, in row order; they
+    """The traces of the rows of one integration, in row order; they
     share its nodes, so `evaluations` counts each node once."""
 
     __slots__ = ()
-    evaluations = property(lambda self: self[0].evaluations)
+    evaluations = property(lambda self: self[0].terms_used)
     converged = property(lambda self: all(row.converged for row in self))
 
 
@@ -140,8 +124,9 @@ def integrate_semi_inf(
     """The integral over k in [0, inf) of each row of f, row r of the
     shape shapes[r] = (c, a) at q >= 0.  f maps the nodes' offsets
     s = k - q, a numpy array, to an array of shape (len(shapes), len(s));
-    a non-finite value leaves its row non-finite and unconverged.  A row
-    has converged when est_error <= tol |value|; nothing else reads tol.
+    a non-finite value leaves its row non-finite and unconverged.  Each
+    row's trace counts the nodes as its terms; only its `converged` reads
+    tol.
     """
     edges = np.array([-e for e in _edges(q)[:0:-1]] + _edges(q + 4.0))  # to K = 2q + 4
     mid = 0.5 * edges[1:] + 0.5 * edges[:-1]
@@ -162,9 +147,9 @@ def integrate_semi_inf(
         bounds = _bounds(np.concatenate((mid, tail)), np.concatenate((half, tail)),
                          points[kind], exps[:, kind], log_c[:, kind])
         # one dot per row: a batched product can round differently
-        return QuadratureRows(
-            QuadratureResult(float(row.dot(weights)),
-                             float(bound + _ROUNDOFF * np.abs(row).dot(weights)),
-                             s.size).at(tol)
-            for row, bound in zip(values, bounds)
-        )
+        rows = []
+        for row, bound in zip(values, bounds):
+            value = float(row.dot(weights))
+            bound = float(bound + _ROUNDOFF * np.abs(row).dot(weights))
+            rows.append(Trace(value, bound, s.size, converged(value, bound, tol)))
+        return QuadratureRows(rows)

@@ -48,8 +48,9 @@ from .core import (
     DomainError,
     InvalidSpecError,
     PoleError,
-    TruncationTrace,
+    Trace,
     check_state_index,
+    converged,
     default_max_terms,
 )
 
@@ -410,10 +411,12 @@ def _pair_terms(j: np.ndarray, n: float, p: int, w: int) -> np.ndarray:
     return num / (j * (4.0 - u)) ** p
 
 
-def _plain_terms(k, p: int, z2: float, w: int):
-    """f(k) = k^(2w) / (k^2 - z^2)^p, for a float or an array of them."""
-    k2 = k * k
-    return (k2 if w else 1.0) / (k2 - z2) ** p
+def _plain_terms(k, p: int, az: float, w: int):
+    """f(k) = k^(2w) / (k^2 - z^2)^p at az = |z|, for a float or an array
+    of them.  k^2 - z^2 is formed as (k - az)(k + az): near the pole k - az
+    is exact (Sterbenz), where k*k - z*z would keep the rounding of both
+    squares."""
+    return (k * k if w else 1.0) / ((k - az) * (k + az)) ** p
 
 
 def _euler_maclaurin(X: float, h: int, p: int, z2: float, w: int) -> tuple[float, float]:
@@ -452,7 +455,7 @@ def _tail(X: float, h: int, p: int, z2: float, w: int, atol: float) -> tuple[flo
 
 
 def _scan(pairs: int, run: tuple[int, int], n: int, j0: int, h: int, p: int,
-          z2: float, w: int) -> tuple[float, float, list[float], list[int]]:
+          az: float, w: int) -> tuple[float, float, list[float], list[int]]:
     """Sum `pairs` mirror pairs j = j0, j0 + h, ... about n, then the run
     (k, count) of plain terms k, k + h, ..., in blocks of at most _CHUNK.
     Returns the total, the sum of |summand|, and the partial sums after
@@ -473,7 +476,7 @@ def _scan(pairs: int, run: tuple[int, int], n: int, j0: int, h: int, p: int,
         if hi > pairs:
             k_lo = k_run + h * max(0, lo - pairs)
             k = np.arange(k_lo, k_run + h * (hi - pairs), h, dtype=float)
-            parts.append(_plain_terms(k, p, z2, w))
+            parts.append(_plain_terms(k, p, az, w))
         values = parts[0] if len(parts) == 1 else np.concatenate(parts)
         partial = values.cumsum()
         checkpoints += [total + float(partial[m - lo - 1]) for m in marks if lo < m <= hi]
@@ -491,7 +494,7 @@ def brute_sum(
     exclude: int | None = None,
     tol: float = DEFAULT_TOL,
     max_terms: int | None = None,
-) -> TruncationTrace:
+) -> Trace:
     """Direct partial summation of sum_k f(k), f(k) = k^(2w) / (k^2 - z^2)^p,
     over the chosen lattice of spacing h, with an Euler-Maclaurin tail.
 
@@ -502,11 +505,11 @@ def brute_sum(
     the first lattice point past 2|z| + 4h where the tail bound is under
     _CUTOFF_EPS eps of the largest pair and plain term, a floor under the
     summed magnitude, so K is known before any term is summed.
-    `tail_estimate` is the tail bound plus _ROUNDOFF_EPS eps of the summed
-    magnitude, and `converged` says it is within tol of |value|.
+    The trace's `bound` is the tail bound plus _ROUNDOFF_EPS eps of the
+    summed magnitude; only its `converged` reads tol.
     `max_terms` caps the terms summed, a pair counting as two; a cap that
     ends the scan before 2|z| + 4h leaves no tail bound: the value is the
-    bare partial sum and `tail_estimate` is infinite.
+    bare partial sum and the bound is infinite.
     """
     if p < 1 or not isinstance(p, (int, np.integer)) or isinstance(p, bool):
         raise InvalidSpecError(f"p must be a positive integer, got {p!r}")
@@ -540,13 +543,13 @@ def brute_sum(
         # no tail bound; an odd cap inside the pairs ends on a lower term
         done = min(pairs, max_terms // 2)
         run = (first, plain_max) if done == pairs else (n - j0 - h * done, max_terms % 2)
-        value, _, checkpoints, checkpoint_terms = _scan(done, run, n, j0, h, p, z2, w)
-        residual, converged = math.inf, False
+        value, _, checkpoints, checkpoint_terms = _scan(done, run, n, j0, h, p, az, w)
+        residual = math.inf
     else:
-        floor = abs(_plain_terms(float(first if n else nearest), p, z2, w))
+        floor = abs(_plain_terms(float(first if n else nearest), p, az, w))
         if pairs:
-            floor += abs(_plain_terms(float(n - j0), p, z2, w)
-                         + _plain_terms(float(n + j0), p, z2, w))
+            floor += abs(_plain_terms(float(n - j0), p, az, w)
+                         + _plain_terms(float(n + j0), p, az, w))
         allowance = _CUTOFF_EPS * _EPS * max(floor, REL_ERR_FLOOR)
         X = clear + h / 2.0
         bound = _euler_maclaurin(X, h, p, z2, w)[1]
@@ -562,16 +565,9 @@ def brute_sum(
         X -= h / 2.0
         last = last_cap if X >= last_cap else start + h * math.ceil((X - start) / h)
         total, abs_total, checkpoints, checkpoint_terms = _scan(
-            pairs, (first, (last - first) // h + 1), n, j0, h, p, z2, w)
+            pairs, (first, (last - first) // h + 1), n, j0, h, p, az, w)
         tail, bound = _tail(last + h / 2.0, h, p, z2, w, allowance / 16.0)
         value = total + tail
         residual = bound + _ROUNDOFF_EPS * _EPS * (abs_total + abs(tail))
-        converged = residual <= tol * max(abs(value), REL_ERR_FLOOR)
-    return TruncationTrace(
-        value=value,
-        partial_sums=tuple(checkpoints),
-        checkpoint_terms=tuple(checkpoint_terms),
-        terms_used=checkpoint_terms[-1],
-        tail_estimate=residual,
-        converged=converged,
-    )
+    return Trace(value, residual, checkpoint_terms[-1], converged(value, residual, tol),
+                 tuple(checkpoints), tuple(checkpoint_terms))

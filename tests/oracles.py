@@ -31,10 +31,10 @@ from sumrules.core import (
     REL_ERR_FLOOR,
     DomainError,
     InvalidSpecError,
+    Trace,
     check_finite_positive,
     check_state_index,
 )
-from sumrules.quadrature import QuadratureResult
 from sumrules.series import Parity
 
 PI = math.pi
@@ -99,7 +99,7 @@ class AdaptiveRows(tuple):
 
     @property
     def evaluations(self) -> int:
-        return sum(row.evaluations for row in self)
+        return sum(row.terms_used for row in self)
 
     @property
     def converged(self) -> bool:
@@ -173,7 +173,7 @@ def _adaptive(
     abs_tol: float,
     max_panels: int,
     check_finite: bool,
-) -> QuadratureResult | AdaptiveRows:
+) -> Trace | AdaptiveRows:
     """The adaptive loops of the rows of g, in lockstep, from the
     initial `panels` of `_initial_panels`.  `check_finite` is False
     when g rejects non-finite values itself."""
@@ -226,11 +226,11 @@ def _adaptive(
     for row in rows:
         # roundoff floor: summing len(heap) panel values cannot beat this
         est = max(row.est, _ROUNDOFF * row.abs_acc)
-        results.append(QuadratureResult(
+        results.append(Trace(
             value=row.value,
-            est_error=est,
+            bound=est,
             # the initial panels, then two halves per bisection
-            evaluations=_NODES.size * (2 * row.panels - _INITIAL_PANELS),
+            terms_used=_NODES.size * (2 * row.panels - _INITIAL_PANELS),
             converged=est <= row.target(tol, abs_tol),
         ))
     return AdaptiveRows(results) if shape else results[0]
@@ -243,7 +243,7 @@ def integrate_interval(
     tol: float = DEFAULT_TOL,
     abs_tol: float = 0.0,
     max_panels: int = MAX_PANELS,
-) -> QuadratureResult | AdaptiveRows:
+) -> Trace | AdaptiveRows:
     """Adaptive integral of a vectorized integrand over [lo, hi].
 
     Converges when the summed panel error estimate drops below
@@ -282,7 +282,7 @@ def integrate_half_line(
     f: Callable,
     scale: float = 1.0,
     tol: float = DEFAULT_TOL,
-) -> QuadratureResult | AdaptiveRows:
+) -> Trace | AdaptiveRows:
     """Adaptive integral of f over [0, inf) via the k = scale * tan(theta)
     map; for an f of m rows, the m integrals, from one call of f per round.
 
@@ -299,7 +299,7 @@ def integrate_real_line(
     scale: float = 1.0,
     tol: float = DEFAULT_TOL,
     abs_tol: float = 0.0,
-) -> QuadratureResult:
+) -> Trace:
     """Integral of f over (-inf, inf) via the two-sided tan map."""
     check_finite_positive(scale, "scale")
     return integrate_interval(

@@ -206,7 +206,7 @@ def test_json_verify_round_trips_bit_exact(capsys):
     assert row["passed"] is True
     assert row["params"] == {"n": 2}
     assert row["trace"]["terms_used"] == report.trace.terms_used
-    assert row["trace"]["tail_estimate"] == report.trace.tail_estimate
+    assert row["trace"]["tail_estimate"] == report.trace.bound
 
 
 def test_json_bethe_round_trips_bit_exact(capsys):
@@ -335,7 +335,7 @@ def test_sweep_rows_are_the_rule_lattice_sum(capsys, rule, tol, kmax):
         assert row["trace"] == {
             "value": trace.value,
             "terms_used": trace.terms_used,
-            "tail_estimate": trace.tail_estimate,
+            "tail_estimate": trace.bound,
             "converged": trace.converged,
             "checkpoints": [
                 {"terms": t, "partial_sum": s}

@@ -11,17 +11,18 @@ from sumrules.core import (
     DEFAULT_MAX_TERMS,
     InvalidSpecError,
     KMAX_ENV_VAR,
-    TruncationTrace,
+    Trace,
+    converged,
     default_max_terms,
 )
 from sumrules.engine import RuleVerification
 from sumrules.series import checkpoint_indices
 
-TRACE = TruncationTrace(0.0, (0.0,), (1,), 1, 0.0, True)
+TRACE = Trace(0.0, 0.0, 1, True, (0.0,), (1,))
 
 
 def record(analytic, closed, brute, tol):
-    return RuleVerification("prop", None, {}, analytic, closed, brute, TRACE, tol)
+    return RuleVerification("prop", None, {}, analytic, closed, brute, 0.0, TRACE, tol)
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
@@ -55,15 +56,24 @@ def test_report_zero_analytic_does_not_divide_by_zero():
     assert not check.passed
 
 
-def test_truncation_trace_validation():
+def test_trace_validation():
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (), (), 0, 0.0, True)
+        Trace(0.0, 0.0, 1, True, (0.0,), ())
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (0.0,), (), 1, 0.0, True)
+        Trace(0.0, 0.0, -1, True, (0.0,), (0,))
     with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (0.0,), (0,), -1, 0.0, True)
-    with pytest.raises(InvalidSpecError):
-        TruncationTrace(0.0, (0.0,), (1,), 1, -1.0, True)
+        Trace(0.0, -1.0, 1, True, (0.0,), (1,))
+
+
+def test_converged_rule():
+    assert converged(-4.0, 1e-9, 2.5e-10)  # bound <= tol |value|, inclusive
+    assert not converged(-4.0, 1e-9, 2.4e-10)
+    assert converged(0.0, 1e-310, 1e-9)  # a zero value is floored at REL_ERR_FLOOR
+    assert not converged(0.0, 1e-308, 1e-9)
+    # tol |value| overflows to inf here, which an inf bound would meet
+    assert not converged(1e300, math.inf, 1e300)
+    assert not converged(1.0, math.nan, 1.0)
+    assert not converged(math.nan, 0.0, 1.0)
 
 
 def test_checkpoint_indices_schedule():

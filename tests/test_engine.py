@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sumrules import delta, engine, isw, quadrature
-from sumrules.core import DEFAULT_TOL, InconsistencyError, InvalidSpecError, ModelKind
+from sumrules.core import DEFAULT_TOL, InconsistencyError, InvalidSpecError, ModelKind, Trace
 from sumrules.engine import (
     SumRuleSpec,
     analytic_rhs,
@@ -19,7 +19,7 @@ from sumrules.engine import (
     stark_verify,
     verify,
 )
-from sumrules.quadrature import QuadratureResult, QuadratureRows
+from sumrules.quadrature import QuadratureRows
 from sumrules.series import Parity
 
 from oracles import integrate_half_line
@@ -30,14 +30,6 @@ CLOSURE = SumRuleSpec("closure")
 TRK = SumRuleSpec("trk")
 MONOPOLE = SumRuleSpec("monopole")
 
-# raw lattice tail estimates scale into rule units through these, the
-# stark one times F^2
-ISW_PREFACTOR = {
-    "closure": lambda n: 64.0 * n * n / PI**4,
-    "trk": lambda n: 32.0 * n * n / PI**2,
-    "monopole": lambda n: 32.0 * n * n / PI**2,
-    "stark": lambda n: 2.0 * (8.0 * n / PI**2) ** 2,
-}
 STARK_FIELDS = (1e-3, 0.5, 3.0, 1e3)
 
 
@@ -167,12 +159,11 @@ def test_lhs_delta_examples():
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
 def test_isw_saturation(rule, n):
     """Closed path hits the analytic value at 1e-12; the brute path
-    lands within its own (rescaled) tail estimate."""
-    for report, field in saturation_checks(rule, ModelKind.ISW, n):
+    lands within its own bound in the rule's units."""
+    for report, _ in saturation_checks(rule, ModelKind.ISW, n):
         assert report.passed
         assert report.rel_err_closed < 1e-12
-        scaled_tail = field * ISW_PREFACTOR[rule](n) * report.trace.tail_estimate
-        assert abs(report.brute - report.analytic) <= scaled_tail + 1e-13 * abs(report.analytic)
+        assert abs(report.brute - report.analytic) <= report.bound + 1e-13 * abs(report.analytic)
 
 
 @pytest.mark.parametrize("rule", ["closure", "trk", "monopole", "stark"])
@@ -180,7 +171,7 @@ def test_delta_saturation(rule):
     for report, field in saturation_checks(rule, ModelKind.DELTA):
         assert report.passed
         assert report.rel_err_closed < 1e-12
-        assert abs(report.brute - report.analytic) <= field * (report.trace.est_error + 1e-13)
+        assert abs(report.brute - report.analytic) <= report.bound + field * 1e-13
 
 
 def test_verify_report_structure():
@@ -192,6 +183,7 @@ def test_verify_report_structure():
     assert report.rel_err_closed == abs(report.closed - 0.5) / 0.5
     assert report.rel_err_brute == abs(report.brute - 0.5) / 0.5
     assert report.brute == (32.0 * 3 * 3 / PI**2) * report.trace.value
+    assert report.bound == (32.0 * 3 * 3 / PI**2) * report.trace.bound
     bethe = verify(SumRuleSpec("bethe", q=2.0), ModelKind.DELTA)
     assert bethe.rule == "bethe"
     assert bethe.params == {"q": 2.0}
@@ -253,13 +245,15 @@ def test_bethe_channel_records(q):
     assert (odd, even) == bethe_components(q)
     assert row.closed == odd.closed + even.closed
     assert row.brute == odd.brute + even.brute
-    assert row.trace == QuadratureResult(
+    assert (odd.bound, even.bound) == (odd.trace.bound, even.trace.bound)
+    assert row.bound == odd.bound + even.bound
+    assert row.trace == Trace(
         value=odd.trace.value + even.trace.value,
-        est_error=odd.trace.est_error + even.trace.est_error,
-        evaluations=odd.trace.evaluations,
+        bound=row.bound,
+        terms_used=odd.trace.terms_used,
         converged=odd.trace.converged and even.trace.converged,
     )
-    assert odd.trace.evaluations == even.trace.evaluations
+    assert odd.trace.terms_used == even.trace.terms_used
 
 
 BETHE_Q_GRID = [1e-4 * 1e8 ** (j / 40) for j in range(41)]  # log grid over [1e-4, 1e4]
@@ -272,8 +266,8 @@ def _bethe_bound_misses(qs, tol):
     for q in qs:
         for parity, quad in zip((Parity.ODD, Parity.EVEN), _bethe_quadrature(q, tol)):
             err = abs(quad.value - bethe_component_closed(parity, q))
-            if err > quad.est_error:
-                misses.append((q, parity.value, err / quad.est_error))
+            if err > quad.bound:
+                misses.append((q, parity.value, err / quad.bound))
     return misses
 
 
@@ -294,7 +288,7 @@ def test_bethe_quadrature_inside_est_error_at_default_tol():
     # the one miss a 4001-point log grid over q in [1e-4, 1e4] showed
     # while an adaptive loop did the quadrature
     for channel in bethe_components(19.881398211747452):
-        assert abs(channel.brute - channel.analytic) <= channel.trace.est_error
+        assert abs(channel.brute - channel.analytic) <= channel.bound
 
 
 def test_bethe_residue_channels_match_closed_forms_to_the_last_bits():
@@ -379,7 +373,7 @@ def test_delta_quadratures_are_frozen_bit_for_bit(name, q, tol, value_hex, est_h
     else:
         both = integrate_half_line(_matrix_element_integrand(q), scale=max(1.0, q), tol=tol)
         result = both[0 if name == "odd" else 1]
-    assert (result.value.hex(), result.est_error.hex(), result.evaluations) == (
+    assert (result.value.hex(), result.bound.hex(), result.terms_used) == (
         value_hex, est_hex, evaluations
     )
 
@@ -430,7 +424,7 @@ def test_delta_rule_records_are_frozen_bit_for_bit(name, q, value_hex, est_hex, 
             result = verify(SumRuleSpec(name), ModelKind.DELTA, tol=tol).trace
         else:
             result = bethe_components(q, tol)[0 if name == "odd" else 1].trace
-        assert (result.value.hex(), result.est_error.hex(), result.evaluations) == (
+        assert (result.value.hex(), result.bound.hex(), result.terms_used) == (
             value_hex, est_hex, evaluations
         )
 
@@ -486,7 +480,7 @@ def test_box_records_are_frozen_bit_for_bit(rule, n, F, closed_hex, brute_hex, v
         check = stark_verify(ModelKind.ISW, n, F)
     trace = check.trace
     assert (check.closed.hex(), check.brute.hex(), trace.value.hex(),
-            trace.tail_estimate.hex(), trace.terms_used) == (
+            trace.bound.hex(), trace.terms_used) == (
         closed_hex, brute_hex, value_hex, tail_hex, terms
     )
 
@@ -521,15 +515,12 @@ def test_bethe_cross_check_guard(monkeypatch):
 
 
 def test_diagonal_handling():
-    """Closure carries the k = n term; energy-weighted rules do not
-    care whether it is included because the gap factor kills it."""
+    """Closure carries the k = n term."""
     n = 2
     direct = sum(isw.x_me(n, k) ** 2 for k in range(1, 400))
     assert direct == pytest.approx(analytic_rhs(SumRuleSpec("closure", n=n), ModelKind.ISW), rel=1e-9)
     # strip the diagonal and the sum falls short by exactly (1/2)^2
     assert direct - isw.x_me(n, n) ** 2 == pytest.approx(direct - 0.25, rel=1e-12, abs=0)
-    # the k = n contribution to TRK/monopole is identically zero
-    assert (isw.energy(n) - isw.energy(n)) * isw.x2_me(n, n) ** 2 == 0.0
 
 
 def test_stark_verify_isw():
@@ -554,7 +545,9 @@ def test_stark_verify_delta():
     assert report.analytic == -0.625
     assert report.rel_err_closed < 1e-12
     assert report.rel_err_brute < 1e-10
-    assert stark_verify(ModelKind.DELTA, F=2.0).analytic == -2.5
+    report = stark_verify(ModelKind.DELTA, F=2.0)
+    assert report.analytic == -2.5
+    assert report.bound == 4.0 * report.trace.bound  # |-F^2| times the integral's
 
 
 @settings(max_examples=20, deadline=None)

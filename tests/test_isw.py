@@ -24,11 +24,6 @@ def integral_me(n, k, power):
     return r.value
 
 
-def test_energies():
-    assert isw.energy(1) == pytest.approx(PI**2 / 2, rel=1e-15, abs=0)
-    assert isw.energy(3) == pytest.approx(9 * PI**2 / 2, rel=1e-15, abs=0)
-
-
 def test_psi_normalization_and_orthogonality():
     for n in (1, 2, 5):
         r = integrate_interval(lambda x: isw_psi(n, x) ** 2, 0.0, 1.0, tol=1e-12)
@@ -179,6 +174,6 @@ def test_stark_shift_overflows_only_with_the_true_value():
 def test_invalid_quantum_numbers():
     for bad in (0, -1, 1.5, True):
         with pytest.raises(InvalidSpecError):
-            isw.energy(bad)
+            isw.x_me(bad, 1)
     with pytest.raises(InvalidSpecError):
         isw.x_me(1, 0)

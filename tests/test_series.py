@@ -89,7 +89,7 @@ def test_closed_vs_brute_all_lattice(p, z):
     trace = brute_sum(p, z, tol=tol)
     assert trace.converged
     closed = sum_closed(p, z)
-    assert abs(closed - trace.value) <= max(trace.tail_estimate, tol * abs(closed))
+    assert abs(closed - trace.value) <= max(trace.bound, tol * abs(closed))
 
 
 @pytest.mark.parametrize("parity", [Parity.EVEN, Parity.ODD])
@@ -163,7 +163,7 @@ def test_weighted_k2_vs_brute(p, n):
     parity = Parity.EVEN if n % 2 else Parity.ODD
     trace = brute_sum(p, n, parity=parity, weight_k2=True, tol=1e-12)
     closed = weighted_k2_sum(p, n)
-    assert abs(closed - trace.value) <= max(trace.tail_estimate, 1e-12 * abs(closed))
+    assert abs(closed - trace.value) <= max(trace.bound, 1e-12 * abs(closed))
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -184,7 +184,7 @@ def test_removed_term_brute_excluded_lattice():
         )
         closed = removed_term_limit_closed(n)
         assert abs(closed - trace.value) <= max(
-            trace.tail_estimate, 1e-11 * abs(closed)
+            trace.bound, 1e-11 * abs(closed)
         )
 
 
@@ -199,7 +199,7 @@ def test_brute_tail_estimate_is_conservative():
         for cap in (200, 2000):
             trace = brute_sum(p, z, max_terms=cap)
             # the 1e-14 floor absorbs float accumulation over the terms
-            assert abs(trace.value - exact) <= trace.tail_estimate + 1e-14 * abs(exact)
+            assert abs(trace.value - exact) <= trace.bound + 1e-14 * abs(exact)
 
 
 @pytest.mark.parametrize("z", [1.3, 4.7, 9.2])
@@ -215,16 +215,16 @@ def test_tail_estimate_honest_when_cut_early(p, weight, z, cap):
         closed = sum_closed(p - 1, z) + z * z * sum_closed(p, z)
     else:
         closed = sum_closed(p, z)
-    assert math.isfinite(trace.tail_estimate)
+    assert math.isfinite(trace.bound)
     # the closed form carries its own few-ulp noise, hence the floor
-    assert abs(trace.value - closed) <= trace.tail_estimate + 1e-14 * abs(closed)
+    assert abs(trace.value - closed) <= trace.bound + 1e-14 * abs(closed)
 
 
 def test_tail_estimate_infinite_when_pole_past_cutoff():
     trace = brute_sum(2, 50.3, max_terms=10)
     assert not trace.converged
     assert trace.terms_used == 10
-    assert math.isinf(trace.tail_estimate)
+    assert math.isinf(trace.bound)
 
 
 @pytest.mark.parametrize("p, z, parity, cap", [
@@ -239,7 +239,7 @@ def test_tail_estimate_infinite_when_cap_puts_cutoff_on_pole(p, z, parity, cap):
     trace = brute_sum(p, z, parity, weight_k2=True, max_terms=cap)
     assert not trace.converged
     assert trace.terms_used == cap
-    assert math.isinf(trace.tail_estimate)
+    assert math.isinf(trace.bound)
     # whole pairs k = z -+ j first, then at an odd cap the lower term of
     # the next; the value is their bare sum
     summed = (z - 1, z + 1)[:cap]
@@ -253,7 +253,7 @@ def test_brute_respects_max_terms():
     # tail past k = 137 is still bounded
     trace = brute_sum(1, 0.5, max_terms=137)
     assert trace.terms_used == 137
-    assert abs(trace.value - 2.0) <= trace.tail_estimate
+    assert abs(trace.value - 2.0) <= trace.bound
     assert brute_sum(1, 0.5).terms_used > 137
 
 
@@ -320,7 +320,7 @@ def test_box_sums_stay_inside_tail_estimate(rule):
     for n in sorted({round(10 ** (j / 6)) for j in range(25)}):  # 1 ... 1e4
         closed, kwargs = _box_lattice_sum(rule, n)
         trace = brute_sum(**kwargs)
-        assert abs(trace.value - closed) <= trace.tail_estimate + 4 * math.ulp(closed)
+        assert abs(trace.value - closed) <= trace.bound + 4 * math.ulp(closed)
 
 
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
@@ -333,8 +333,8 @@ def test_large_n_box_sums_converge_within_bound(rule, tol):
     closed, kwargs = _box_lattice_sum(rule, n)
     trace = brute_sum(**kwargs, tol=tol)
     assert trace.converged
-    assert trace.tail_estimate <= tol * abs(trace.value)
-    assert abs(trace.value - closed) <= trace.tail_estimate + 4 * math.ulp(closed)
+    assert trace.bound <= tol * abs(trace.value)
+    assert abs(trace.value - closed) <= trace.bound + 4 * math.ulp(closed)
 
 
 def test_pole_guard():
