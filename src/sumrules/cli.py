@@ -30,7 +30,6 @@ from .core import (
     DEFAULT_TOL,
     DomainError,
     InvalidSpecError,
-    KMAX_ENV_VAR,
     ModelKind,
     SumRuleError,
 )
@@ -376,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="relative tolerance for PASS (default 1e-9)")
         sp.add_argument("--kmax", type=int, default=None,
-                        help=f"truncation cap; overrides ${KMAX_ENV_VAR}")
+                        help="most terms a brute lattice sum adds "
+                        f"(default {series.DEFAULT_MAX_TERMS})")
         sp.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
                         default="text", help="output format")
         sp.add_argument("--out", default=None, help="write output to this file")

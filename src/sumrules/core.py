@@ -11,7 +11,6 @@ check is judged by.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -19,9 +18,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 REL_ERR_FLOOR = 1e-300
-
-DEFAULT_MAX_TERMS = 10_000_000
-KMAX_ENV_VAR = "SUMRULE_KMAX"
 
 
 class SumRuleError(Exception):
@@ -46,20 +42,6 @@ class ConvergenceError(SumRuleError, RuntimeError):
 
 class InconsistencyError(SumRuleError, RuntimeError):
     """Two routes that must agree internally did not."""
-
-
-def default_max_terms() -> int:
-    """Truncation cap for brute-force sums; SUMRULE_KMAX overrides."""
-    raw = os.environ.get(KMAX_ENV_VAR)
-    if raw is None:
-        return DEFAULT_MAX_TERMS
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise InvalidSpecError(f"{KMAX_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise InvalidSpecError(f"{KMAX_ENV_VAR} must be positive, got {value}")
-    return value
 
 
 def check_state_index(n, name: str = "n") -> int:

@@ -125,17 +125,10 @@ class RuleVerification:
         return self.rel_err_closed <= self.tol and self.rel_err_brute <= self.tol
 
 
-def half_line_moment(w: int, p: int) -> float:
-    """Exact integral of k^(2w) / (1 + k^2)^p over [0, inf).
-
-    Equals Gamma(w + 1/2) Gamma(p - w - 1/2) / (2 Gamma(p)); needs
-    p > w + 1/2 for convergence.
-    """
-    if w < 0 or p < 1:
-        raise InvalidSpecError(f"need w >= 0 and p >= 1, got w={w}, p={p}")
-    if 2 * p <= 2 * w + 1:
-        raise InvalidSpecError(f"moment diverges for w={w}, p={p}")
-    return math.gamma(w + 0.5) * math.gamma(p - w - 0.5) / (2.0 * math.gamma(p))
+def half_line_moment(p: int) -> float:
+    """Exact integral of k^2 / (1 + k^2)^p over [0, inf), p >= 2:
+    Gamma(3/2) Gamma(p - 3/2) / (2 Gamma(p))."""
+    return math.gamma(1.5) * math.gamma(p - 1.5) / (2.0 * math.gamma(p))
 
 
 # Every check but bethe is a row of each model's table; `_check` scales
@@ -148,7 +141,7 @@ _BOX_CHECKS = {
     "monopole": (3, lambda n: 32.0 * n * n / _PI**2, -0.0),
     "stark": (5, lambda n: 2.0 * (8.0 * n / _PI**2) ** 2, -0.0),
 }
-# Delta-well rows: (c, p) of the closed route (c / pi) * half_line_moment(1, p),
+# Delta-well rows: (c, p) of the closed route (c / pi) * half_line_moment(p),
 # and the quadrature integrand over k >= 0, of the quadrature's shape (c / pi, 4 - p).
 _DELTA_CHECKS = {
     "closure": (16.0, 4, lambda k: delta.x_me_bound(k) ** 2),
@@ -282,13 +275,14 @@ def _check(
         trace = series.brute_sum(**brute_args, tol=tol, max_terms=max_terms)
         factor = scale * prefactor(params["n"])
         closed, brute = offset + factor * closed, offset + factor * trace.value
-        bound = abs(factor) * trace.bound
+        # at factor 0 the brute route is its offset exactly, whatever the trace
+        bound = abs(factor) * trace.bound if factor else 0.0
     else:
         c, p, _ = _DELTA_CHECKS[rule]
         quad = _delta_quadratures()[rule]
         trace = Trace(quad.value, quad.bound, quad.terms_used,
                       converged(quad.value, quad.bound, tol))
-        closed, brute = scale * (c / _PI) * half_line_moment(1, p), scale * trace.value
+        closed, brute = scale * (c / _PI) * half_line_moment(p), scale * trace.value
         bound = abs(scale) * trace.bound
     return RuleVerification(rule, model, params, analytic, closed, brute, bound, trace, tol)
 

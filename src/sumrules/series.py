@@ -51,10 +51,10 @@ from .core import (
     Trace,
     check_state_index,
     converged,
-    default_max_terms,
 )
 
 MAX_P = 6
+DEFAULT_MAX_TERMS = 10_000_000  # brute_sum's term cap when the caller sets none
 POLE_GUARD = 1e-8
 _SERIES_RADIUS = 0.5  # |z| below this uses the zeta expansion
 _PI = math.pi
@@ -309,9 +309,8 @@ def _v_over_p2(P: float) -> float:
 
 
 def _removed_term_near(n: int, eps: float) -> float:
-    """T(n + eps; n) evaluated without the 1/eps^3 cancellation."""
-    if abs(eps) * _PI > 0.5:
-        raise InvalidSpecError(f"eps={eps} outside the series-validated window")
+    """T(n + eps; n) evaluated without the 1/eps^3 cancellation, for
+    pi |eps| <= 1/2, where the Taylor series of u and v hold."""
     z = n + eps
     P = _PI * eps
     ut = _u_over_p3(P)
@@ -331,24 +330,23 @@ def _removed_term_near(n: int, eps: float) -> float:
     return (singular + smooth) / (16.0 * z**3)
 
 
-def removed_term_sum_limit(
-    n: int,
-    eps0: float = 0.1,
-    rel_tol: float = 1e-13,
-    max_levels: int = 12,
-) -> float:
+# the first eps (pi eps < 1/2), the relative settling tolerance, the most levels
+_RICHARDSON_EPS0, _RICHARDSON_TOL, _RICHARDSON_LEVELS = 0.1, 1e-13, 12
+
+
+def removed_term_sum_limit(n: int) -> float:
     """T(n) by Richardson extrapolation of T(n + eps; n) as eps -> 0.
 
-    Evaluates on the geometric sequence eps0, eps0/2, eps0/4, ... and
-    eliminates the Taylor orders eps, eps^2, ... through a Neville
-    tableau; accepts once two successive diagonal entries agree to
-    rel_tol.  Raises ConvergenceError if the sequence never settles.
+    Evaluates at eps = 0.1, 0.05, 0.025, ... and eliminates the Taylor
+    orders eps, eps^2, ... through a Neville tableau; accepts once two
+    successive diagonal entries agree to 1e-13 relative.  Raises
+    ConvergenceError if they do not within 12 levels.
     """
     n = check_state_index(n)
     diag_prev = None
     row: list[float] = []
-    for i in range(max_levels):
-        eps = eps0 * 0.5**i
+    for i in range(_RICHARDSON_LEVELS):
+        eps = _RICHARDSON_EPS0 * 0.5**i
         new_row = [_removed_term_near(n, eps)]
         for j in range(1, i + 1):
             factor = 2.0**j
@@ -358,11 +356,11 @@ def removed_term_sum_limit(
         row = new_row
         diag = row[-1]
         if diag_prev is not None:
-            if abs(diag - diag_prev) <= rel_tol * max(abs(diag), REL_ERR_FLOOR):
+            if abs(diag - diag_prev) <= _RICHARDSON_TOL * max(abs(diag), REL_ERR_FLOOR):
                 return diag
         diag_prev = diag
     raise ConvergenceError(
-        f"removed-term extrapolation for n={n} did not settle in {max_levels} levels"
+        f"removed-term extrapolation for n={n} did not settle in {_RICHARDSON_LEVELS} levels"
     )
 
 
@@ -516,7 +514,7 @@ def brute_sum(
     if not math.isfinite(z):
         raise InvalidSpecError(f"z must be finite, got {z}")
     if max_terms is None:
-        max_terms = default_max_terms()
+        max_terms = DEFAULT_MAX_TERMS
     if max_terms < 1:
         raise InvalidSpecError(f"max_terms must be positive, got {max_terms}")
     if 2 * p - (2 if weight_k2 else 0) < 2:
@@ -537,35 +535,33 @@ def brute_sum(
     pairs = max(0, (n - j0 + h - 1) // h)  # j = j0, j0 + h, ... < n
     first = 2 * n + (start - 2 * n) % h if n else start  # first plain k
     clear = start + h * (math.floor((2.0 * az + 4.0 * h - start) / h) + 1)
-    plain_max = max_terms - 2 * pairs  # plain terms the cap leaves
-
-    if plain_max < (clear - first) // h + 1:
-        # no tail bound; an odd cap inside the pairs ends on a lower term
-        done = min(pairs, max_terms // 2)
-        run = (first, plain_max) if done == pairs else (n - j0 - h * done, max_terms % 2)
-        value, _, checkpoints, checkpoint_terms = _scan(done, run, n, j0, h, p, az, w)
-        residual = math.inf
+    floor = abs(_plain_terms(float(first if n else nearest), p, az, w))
+    if pairs:
+        floor += abs(_plain_terms(float(n - j0), p, az, w)
+                     + _plain_terms(float(n + j0), p, az, w))
+    allowance = _CUTOFF_EPS * _EPS * max(floor, REL_ERR_FLOOR)
+    X = clear + h / 2.0
+    bound = _euler_maclaurin(X, h, p, z2, w)[1]
+    if bound > allowance:
+        # bound(X) X^(1/a) falls with X, so X -> X (bound(X) / allowance)^a
+        # maps points below the crossing above it and back: X3 is above
+        a = 1.0 / (2 * p - 2 * w + 3)
+        X *= (bound / allowance) ** a
+        for _ in range(2):
+            X = max(clear + h / 2.0,
+                    X * (_euler_maclaurin(X, h, p, z2, w)[1] / allowance) ** a)
+    # the plain terms first .. the cutoff, as many as the cap leaves; a cap
+    # inside the pairs takes whole pairs, and at an odd cap the lower
+    # term of the next
+    cutoff = start + h * math.ceil((X - h / 2.0 - start) / h)
+    count = min(max_terms - 2 * pairs, (cutoff - first) // h + 1)
+    done = min(pairs, max_terms // 2)
+    run = (first, count) if done == pairs else (n - j0 - h * done, max_terms % 2)
+    total, abs_total, checkpoints, checkpoint_terms = _scan(done, run, n, j0, h, p, az, w)
+    last = first + h * (count - 1)
+    if last < clear:  # the cap ended the scan where the tail has no bound
+        value, residual = total, math.inf
     else:
-        floor = abs(_plain_terms(float(first if n else nearest), p, az, w))
-        if pairs:
-            floor += abs(_plain_terms(float(n - j0), p, az, w)
-                         + _plain_terms(float(n + j0), p, az, w))
-        allowance = _CUTOFF_EPS * _EPS * max(floor, REL_ERR_FLOOR)
-        X = clear + h / 2.0
-        bound = _euler_maclaurin(X, h, p, z2, w)[1]
-        if bound > allowance:
-            # bound(X) X^(1/a) falls with X, so X -> X (bound(X) / allowance)^a
-            # maps points below the crossing above it and back: X3 is above
-            a = 1.0 / (2 * p - 2 * w + 3)
-            X *= (bound / allowance) ** a
-            for _ in range(2):
-                X = max(clear + h / 2.0,
-                        X * (_euler_maclaurin(X, h, p, z2, w)[1] / allowance) ** a)
-        last_cap = first + h * (plain_max - 1)
-        X -= h / 2.0
-        last = last_cap if X >= last_cap else start + h * math.ceil((X - start) / h)
-        total, abs_total, checkpoints, checkpoint_terms = _scan(
-            pairs, (first, (last - first) // h + 1), n, j0, h, p, az, w)
         tail, bound = _tail(last + h / 2.0, h, p, z2, w, allowance / 16.0)
         value = total + tail
         residual = bound + _ROUNDOFF_EPS * _EPS * (abs_total + abs(tail))

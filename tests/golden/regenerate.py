@@ -15,9 +15,9 @@ import io
 import json
 import os
 import pathlib
+from unittest import mock
 
 from sumrules import cli
-from sumrules.core import KMAX_ENV_VAR
 
 TRANSCRIPT = pathlib.Path(__file__).with_name("cli_transcript.json")
 FORMATS = ("text", "json", "csv")
@@ -87,7 +87,9 @@ CASES: list[tuple[str, dict[str, str]]] = [
     # a Bethe q far above the bench range: one format is enough
     ("verify --model delta --q 1e10 --format json", {}),
 ] + [
-    (f"{command} --format {fmt}", {KMAX_ENV_VAR: "1"})
+    # SUMRULE_KMAX once capped every brute sum; these runs pin that no
+    # environment variable changes a result: only --kmax sets the cap
+    (f"{command} --format {fmt}", {"SUMRULE_KMAX": "1"})
     for command in ("verify --model isw --rule trk --n 2", "stark --model isw --n 1,2")
     for fmt in FORMATS
 ]
@@ -107,19 +109,10 @@ def run_case(argv: str) -> dict:
 
 
 def main() -> None:
-    saved = os.environ.pop(KMAX_ENV_VAR, None)
     records = []
-    try:
-        for argv, env in CASES:
-            os.environ.update(env)
-            try:
-                records.append({"argv": argv, "env": env, **run_case(argv)})
-            finally:
-                for name in env:
-                    del os.environ[name]
-    finally:
-        if saved is not None:
-            os.environ[KMAX_ENV_VAR] = saved
+    for argv, env in CASES:
+        with mock.patch.dict(os.environ, env):
+            records.append({"argv": argv, "env": env, **run_case(argv)})
     TRANSCRIPT.write_text(json.dumps(records, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(records)} runs to {TRANSCRIPT}")
 

@@ -16,14 +16,8 @@ import pytest
 
 from sumrules import cli, engine, series
 from sumrules.cli import main
-from sumrules.core import KMAX_ENV_VAR, ModelKind
+from sumrules.core import ModelKind
 from sumrules.engine import SumRuleSpec
-
-
-@pytest.fixture(autouse=True)
-def _clean_kmax_env(monkeypatch):
-    # a stray cap would change terms_used and bit-exactness comparisons
-    monkeypatch.delenv(KMAX_ENV_VAR, raising=False)
 
 
 def run_cli(capsys, *argv):
@@ -547,34 +541,14 @@ def test_shared_parser_keeps_no_state_between_calls(tmp_path, capsys, monkeypatc
 # ------------------------------------------------------------ truncation caps
 
 
-def test_env_kmax_caps_terms(monkeypatch, capsys):
-    monkeypatch.setenv(KMAX_ENV_VAR, "10")
-    code, out, _ = run_cli(
-        capsys, "verify", "--model", "isw", "--rule", "trk",
-        "--n", "1", "--tol", "1e-12", "--format", "json",
-    )
-    rows = json.loads(out)
-    assert rows[0]["trace"]["terms_used"] == 10
+def test_kmax_flag_sets_the_cap(capsys):
+    argv = ("verify", "--model", "isw", "--rule", "trk", "--n", "1", "--format", "json")
+    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-12", "--kmax", "10")
+    assert json.loads(out)[0]["trace"]["terms_used"] == 10
     assert code == 1  # ten terms cannot certify 1e-12
-
-
-def test_kmax_flag_overrides_env(monkeypatch, capsys):
-    monkeypatch.setenv(KMAX_ENV_VAR, "10")
-    code, out, _ = run_cli(
-        capsys, "verify", "--model", "isw", "--rule", "trk",
-        "--n", "1", "--kmax", "200000", "--format", "json",
-    )
+    code, out, _ = run_cli(capsys, *argv, "--kmax", "200000")
     assert code == 0
     assert json.loads(out)[0]["trace"]["terms_used"] > 10
-
-
-def test_bad_env_kmax_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv(KMAX_ENV_VAR, "soon")
-    code, _, err = run_cli(
-        capsys, "verify", "--model", "isw", "--rule", "trk", "--n", "1"
-    )
-    assert code == 2
-    assert KMAX_ENV_VAR in err
 
 
 @pytest.mark.parametrize("argv", [

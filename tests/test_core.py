@@ -1,5 +1,4 @@
-"""The verification record's arithmetic, the shared record types, and
-the term-cap setting."""
+"""The verification record's arithmetic and the shared record types."""
 
 import math
 
@@ -7,14 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sumrules.core import (
-    DEFAULT_MAX_TERMS,
-    InvalidSpecError,
-    KMAX_ENV_VAR,
-    Trace,
-    converged,
-    default_max_terms,
-)
+from sumrules.core import InvalidSpecError, Trace, converged
 from sumrules.engine import RuleVerification
 from sumrules.series import checkpoint_indices
 
@@ -83,19 +75,6 @@ def test_checkpoint_indices_schedule():
     idx = checkpoint_indices(100)
     assert idx[-1] == 100
     assert all(a < b for a, b in zip(idx, idx[1:]))
-
-
-def test_kmax_env_override(monkeypatch):
-    monkeypatch.delenv(KMAX_ENV_VAR, raising=False)
-    assert default_max_terms() == DEFAULT_MAX_TERMS
-    monkeypatch.setenv(KMAX_ENV_VAR, "5000")
-    assert default_max_terms() == 5000
-    monkeypatch.setenv(KMAX_ENV_VAR, "zero")
-    with pytest.raises(InvalidSpecError):
-        default_max_terms()
-    monkeypatch.setenv(KMAX_ENV_VAR, "-3")
-    with pytest.raises(InvalidSpecError):
-        default_max_terms()
 
 
 def test_star_import_resolves_every_public_name():

@@ -188,9 +188,10 @@ def test_removed_term_brute_excluded_lattice():
         )
 
 
-def test_removed_term_extrapolation_failure_surfaces():
-    with pytest.raises(ConvergenceError):
-        removed_term_sum_limit(1, max_levels=2)
+def test_removed_term_extrapolation_failure_surfaces(monkeypatch):
+    monkeypatch.setattr(series, "_RICHARDSON_LEVELS", 2)
+    with pytest.raises(ConvergenceError, match="did not settle in 2 levels"):
+        removed_term_sum_limit(1)
 
 
 def test_brute_tail_estimate_is_conservative():
